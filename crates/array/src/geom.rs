@@ -5,10 +5,8 @@
 //! grid, with unit distance between adjacent processors. That is exactly the
 //! L1 metric implemented here.
 
-use serde::{Deserialize, Serialize};
-
 /// A processor coordinate on the 2-D grid. `x` is the column, `y` the row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Point {
     /// Column index (x-axis position).
     pub x: u32,
@@ -22,9 +20,6 @@ impl Point {
     pub const fn new(x: u32, y: u32) -> Self {
         Point { x, y }
     }
-
-    /// The origin `(0, 0)`.
-    pub const ORIGIN: Point = Point::new(0, 0);
 
     /// Manhattan (L1) distance to another point.
     ///

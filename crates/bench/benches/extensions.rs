@@ -9,7 +9,7 @@ use pim_sched::grouping::{greedy_grouping, optimal_grouping, GroupMethod};
 use pim_sched::online::{online_schedule, OnlinePolicy};
 use pim_sched::refine::refine;
 use pim_sched::replicate::replicated_schedule;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{Method, Run};
 use pim_trace::ids::DataId;
 use pim_workloads::{windowed, Benchmark};
 use std::hint::black_box;
@@ -62,7 +62,7 @@ fn bench_extensions(c: &mut Criterion) {
         BenchmarkId::new("refine_from", "rowwise-baseline"),
         &trace,
         |b, trace| {
-            let base = schedule(Method::Scds, trace, MemoryPolicy::Unbounded);
+            let base = Run::new(trace).run_method(Method::Scds).unwrap();
             b.iter(|| {
                 let mut s = base.clone();
                 black_box(refine(trace, &mut s, spec, 100))

@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_array::grid::{Grid, ProcId};
 use pim_sched::grouping::{greedy_grouping_cached, optimal_grouping_cached, GroupMethod};
-use pim_sched::{
-    compare_methods, schedule, schedule_uncached, DatumCostCache, MemoryPolicy, Method, Workspace,
-};
+use pim_sched::{compare_methods, DatumCostCache, MemoryPolicy, Method, Run, Workspace};
 use pim_trace::window::{DataRefString, WindowRefs};
 use pim_workloads::{windowed, Benchmark};
 use std::hint::black_box;
@@ -28,8 +26,8 @@ fn bench_schedulers(c: &mut Criterion) {
                 &trace,
                 |b, trace| {
                     b.iter(|| {
-                        let s = schedule(method, black_box(trace), memory);
-                        black_box(s.evaluate(trace).total())
+                        let s = Run::new(black_box(trace)).policy(memory).run_method(method);
+                        black_box(s.unwrap().evaluate(trace).total())
                     })
                 },
             );
@@ -50,11 +48,11 @@ fn bench_parallel_speedup(c: &mut Criterion) {
             |b, &threads| {
                 let pool = pim_par::Pool::with_threads(threads);
                 b.iter(|| {
-                    black_box(pim_sched::schedule_parallel(
-                        Method::Gomcds,
-                        black_box(&trace),
-                        pool,
-                    ))
+                    black_box(
+                        Run::new(black_box(&trace))
+                            .parallel(pool)
+                            .run_method(Method::Gomcds),
+                    )
                 })
             },
         );
@@ -63,7 +61,7 @@ fn bench_parallel_speedup(c: &mut Criterion) {
 }
 
 /// The tentpole measurement: every method through the shared cost-table
-/// cache (`schedule`) against the pre-cache reference (`schedule_uncached`),
+/// cache (`Run`) against the pre-cache reference (`Run::cached(false)`),
 /// plus the whole `compare_methods` sweep where one cache serves all five
 /// methods.
 fn bench_cached_vs_uncached(c: &mut Criterion) {
@@ -79,16 +77,18 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
         Method::GroupedLocal,
         Method::GroupedGomcds,
     ] {
-        group.bench_with_input(
-            BenchmarkId::new("cached", method.name()),
-            &trace,
-            |b, trace| b.iter(|| black_box(schedule(method, black_box(trace), memory))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("uncached", method.name()),
-            &trace,
-            |b, trace| b.iter(|| black_box(schedule_uncached(method, black_box(trace), memory))),
-        );
+        for (label, cached) in [("cached", true), ("uncached", false)] {
+            group.bench_with_input(
+                BenchmarkId::new(label, method.name()),
+                &trace,
+                |b, trace| {
+                    b.iter(|| {
+                        let mut run = Run::new(black_box(trace)).policy(memory).cached(cached);
+                        black_box(run.run_method(method))
+                    })
+                },
+            );
+        }
     }
     group.bench_with_input(
         BenchmarkId::new("compare_methods", "cached"),
@@ -109,9 +109,8 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
                 ]
                 .into_iter()
                 .map(|m| {
-                    schedule_uncached(m, black_box(trace), memory)
-                        .evaluate(trace)
-                        .total()
+                    let mut run = Run::new(black_box(trace)).policy(memory).cached(false);
+                    run.run_method(m).unwrap().evaluate(trace).total()
                 })
                 .collect();
                 black_box(costs)

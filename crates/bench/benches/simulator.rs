@@ -4,18 +4,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_array::grid::Grid;
 use pim_par::Pool;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_workloads::{windowed, Benchmark};
 use std::hint::black_box;
 
 fn bench_simulator(c: &mut Criterion) {
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::MatMulCode, grid, 16, 2, 1998);
-    let sched = schedule(
-        Method::Gomcds,
-        &trace,
-        MemoryPolicy::ScaledMinimum { factor: 2 },
-    );
+    let mut run = Run::new(&trace).policy(MemoryPolicy::ScaledMinimum { factor: 2 });
+    let sched = run.run_method(Method::Gomcds).unwrap();
     let mut group = c.benchmark_group("simulate");
     for threads in [1usize, 4] {
         group.bench_with_input(

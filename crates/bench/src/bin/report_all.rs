@@ -18,7 +18,7 @@ use pim_bench::table;
 use pim_bench::timing::{bench_ns, warn_if_slower};
 use pim_sched::registry::schedulers;
 use pim_sched::schedule::improvement_pct;
-use pim_sched::{compare_methods, registry, schedule, MemoryPolicy, Method, Run};
+use pim_sched::{compare_methods, registry, MemoryPolicy, Method, Run};
 use pim_workloads::{windowed, Benchmark};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -54,10 +54,8 @@ fn main() {
         ]
         .into_iter()
         .all(|(m, want)| {
-            schedule(m, &trace, MemoryPolicy::Unbounded)
-                .evaluate(&trace)
-                .total()
-                == want
+            let s = Run::new(&trace).run_method(m).unwrap();
+            s.evaluate(&trace).total() == want
         });
         println!(
             "Figure 1 example: centers and costs match the paper's prose: {}",
@@ -73,7 +71,10 @@ fn main() {
         .evaluate(&trace)
         .total();
     let memory = MemoryPolicy::ScaledMinimum { factor: 2 };
-    let go = schedule(Method::Gomcds, &trace, memory)
+    let go = Run::new(&trace)
+        .policy(memory)
+        .run_method(Method::Gomcds)
+        .unwrap()
         .evaluate(&trace)
         .total();
     println!(
@@ -111,12 +112,11 @@ fn main() {
 
 /// Time the registry's comparison set cached and uncached over benchmark ×
 /// size, plus the `compare_methods` headline (benchmark 3, 32×32 data, 4×4
-/// array), and render the results as JSON (hand-rolled; the vendored serde
-/// shim has no serializer and the schema is flat). Grouped rows also
-/// isolate the Algorithm 3 grouping-decision phase (`grouping_ns`), and
-/// any row whose cached path loses to the reference is warned about on
-/// stderr. Any newly registered scheduler with `in_comparison()` shows up
-/// here automatically.
+/// array), and render the results as JSON (hand-rolled; the schema is
+/// flat). Grouped rows also isolate the Algorithm 3 grouping-decision
+/// phase (`grouping_ns`), and any row whose cached path loses to the
+/// reference is warned about on stderr. Any newly registered scheduler
+/// with `in_comparison()` shows up here automatically.
 fn bench_sched_json() -> String {
     let compare_set: Vec<&dyn pim_sched::Scheduler> = registry().comparison_set().collect();
     let grid = Grid::new(4, 4);

@@ -4,21 +4,22 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation plus the ablation sweeps listed in `DESIGN.md` §4.
 //!
-//! Binaries (run with `cargo run --release -p pim-bench --bin <name>`):
+//! The `experiments` binary runs each of them by name
+//! (`cargo run --release -p pim-bench --bin experiments -- <name> [--csv]`;
+//! no name lists them all):
 //!
-//! | binary | reproduces |
+//! | experiment | reproduces |
 //! |---|---|
 //! | `table1` | Table 1 — total communication cost before grouping |
 //! | `table2` | Table 2 — after Algorithm 3 grouping |
 //! | `figure1` | Figure 1 — the worked single-datum example |
-//! | `sweep_window` | ablation B — window size vs cost |
-//! | `sweep_memory` | ablation C — memory pressure vs cost |
-//! | `sweep_array` | ablation D — array size vs cost |
-//! | `ablation_solver` | ablation A — naive vs distance-transform GOMCDS |
-//! | `ablation_grouping` | ablation E — greedy vs DP-optimal grouping |
+//! | `sweep_*` | ablations B–D, F and I–M — one parameter swept per table |
+//! | `ablation_*` | ablations A, E, G, H — solver, grouping, refinement, replication |
+//! | `coopt_lu` | ablation N — iteration/data co-optimization on LU |
 //!
-//! Criterion micro-benches live under `benches/`. All binaries accept
-//! `--csv` to emit machine-readable output alongside the pretty table.
+//! Criterion micro-benches live under `benches/`. Every experiment but
+//! `figure1` prints its table through [`table::Table`], as aligned text or,
+//! with `--csv`, as machine-readable CSV.
 //!
 //! `report_scale` (module [`scale`]) is the big-instance harness: synthetic
 //! flat traces up to 64×64 grids × 1M data, timing the SoA fast paths

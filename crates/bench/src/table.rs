@@ -1,4 +1,5 @@
-//! Table rendering in the paper's layout.
+//! Table rendering: the paper's layout for Tables 1 and 2, and the
+//! text-or-CSV [`Table`] every other experiment prints through.
 
 use crate::experiments::{mean_improvement, ComparisonRow};
 
@@ -64,9 +65,129 @@ pub fn render_csv(rows: &[ComparisonRow]) -> String {
     out
 }
 
-/// Whether `--csv` was requested on the command line.
-pub fn want_csv() -> bool {
-    std::env::args().any(|a| a == "--csv")
+/// One table cell.
+#[derive(Debug, Clone)]
+pub enum Cell {
+    /// Free text, written as is.
+    Text(String),
+    /// A count or a cost.
+    Int(u64),
+    /// A percentage: the given number of decimals and a `%` sign in text,
+    /// two decimals and no sign in CSV.
+    Pct(f64, usize),
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Text(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Text(s)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(v: u64) -> Cell {
+        Cell::Int(v)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(v: usize) -> Cell {
+        Cell::Int(v as u64)
+    }
+}
+
+/// A one-decimal percentage cell.
+pub fn pct(v: f64) -> Cell {
+    Cell::Pct(v, 1)
+}
+
+/// An experiment table printed to stdout from one column list, either as
+/// aligned text (title, header, rows, blank lines between groups, notes)
+/// or as CSV (header and rows only).
+#[derive(Debug)]
+pub struct Table {
+    csv: bool,
+    /// Per column: CSV name, text name, text width, left-aligned.
+    cols: Vec<(&'static str, &'static str, usize, bool)>,
+}
+
+impl Table {
+    /// Start a table and print its header. `csv_header` names the columns
+    /// for CSV (`a,b,c`); `layout` gives their text headers in the same
+    /// order as `{name:<width}` (left-aligned) or `{name:>width}` fields.
+    /// Text mode prints `title` and a blank line first.
+    pub fn new(csv: bool, title: &str, csv_header: &'static str, layout: &'static str) -> Table {
+        let cols: Vec<_> = csv_header
+            .split(',')
+            .zip(layout.split('{').skip(1))
+            .map(|(csv_name, field)| {
+                let field = field.split('}').next().unwrap_or_default();
+                let (text, fmt) = field.rsplit_once(':').expect("a {name:<w} field");
+                let width = fmt[1..].parse().expect("a numeric field width");
+                (csv_name, text, width, fmt.starts_with('<'))
+            })
+            .collect();
+        let fields = layout.matches('{').count();
+        assert!(
+            cols.len() == fields && cols.len() == csv_header.split(',').count(),
+            "one text field per CSV column"
+        );
+        let table = Table { csv, cols };
+        if !csv {
+            println!("{title}\n");
+        }
+        let header: Vec<Cell> = table
+            .cols
+            .iter()
+            .map(|&(csv_name, text, _, _)| Cell::from(if csv { csv_name } else { text }))
+            .collect();
+        table.row(&header);
+        table
+    }
+
+    /// Print one row; `cells` pair up with the columns in order.
+    pub fn row(&self, cells: &[Cell]) {
+        println!("{}", self.render(cells));
+    }
+
+    fn render(&self, cells: &[Cell]) -> String {
+        assert_eq!(cells.len(), self.cols.len(), "one cell per column");
+        let fields: Vec<String> = cells
+            .iter()
+            .zip(&self.cols)
+            .map(|(cell, &(_, _, width, left))| {
+                let s = match (cell, self.csv) {
+                    (Cell::Text(s), _) => s.clone(),
+                    (Cell::Int(v), _) => v.to_string(),
+                    (Cell::Pct(v, digits), false) => format!("{v:.digits$}%"),
+                    (Cell::Pct(v, _), true) => format!("{v:.2}"),
+                };
+                match (self.csv, left) {
+                    (true, _) => s,
+                    (false, true) => format!("{s:<width$}"),
+                    (false, false) => format!("{s:>width$}"),
+                }
+            })
+            .collect();
+        fields.join(if self.csv { "," } else { " " })
+    }
+
+    /// End a group of rows: a blank line in text mode.
+    pub fn gap(&self) {
+        self.note("");
+    }
+
+    /// A remark under the table, printed in text mode only.
+    pub fn note(&self, text: &str) {
+        if !self.csv {
+            println!("{text}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -102,6 +223,16 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "bench,size,sf,method,comm,improvement_pct");
         assert!(lines[1].starts_with("1,8,1000,SCDS,800,20.00"));
+    }
+
+    #[test]
+    fn table_renders_text_and_csv_from_one_column_list() {
+        let text = Table::new(false, "T", "bench,gain_pct", "{B.:<4} {gain:>7}");
+        let csv = Table::new(true, "T", "bench,gain_pct", "{B.:<4} {gain:>7}");
+        let row = [Cell::from("1"), Cell::Pct(12.3456, 1)];
+        assert_eq!(text.render(&row), "1      12.3%");
+        assert_eq!(csv.render(&row), "1,12.35");
+        assert_eq!(csv.render(&[Cell::from(3usize), Cell::Int(7)]), "3,7");
     }
 
     #[test]

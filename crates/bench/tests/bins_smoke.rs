@@ -1,21 +1,26 @@
-//! Smoke tests for the reproduction entry points: the table/figure
-//! binaries must run, print the paper's layout, and satisfy the headline
-//! orderings — so a broken experiment harness fails CI, not the reader.
+//! Smoke tests for the reproduction entry point: the `experiments`
+//! binary's table and figure experiments must run, print the paper's
+//! layout, and satisfy the headline orderings — so a broken experiment
+//! harness fails CI, not the reader.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn run(bin_path: &str, args: &[&str]) -> String {
-    let out = Command::new(bin_path)
+fn spawn(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("{bin_path} failed to spawn: {e}"));
-    assert!(out.status.success(), "{bin_path} exited nonzero");
+        .unwrap_or_else(|e| panic!("experiments {args:?} failed to spawn: {e}"))
+}
+
+fn run(args: &[&str]) -> String {
+    let out = spawn(args);
+    assert!(out.status.success(), "experiments {args:?} exited nonzero");
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 #[test]
 fn figure1_matches_paper_prose() {
-    let out = run(env!("CARGO_BIN_EXE_figure1"), &[]);
+    let out = run(&["figure1"]);
     assert!(out.contains("SCDS"));
     assert!(out.contains("(1,0) (1,3) (1,0) (1,1)"), "{out}");
     assert!(out.contains("(1,0) (1,0) (1,0) (1,1)"), "{out}");
@@ -24,7 +29,7 @@ fn figure1_matches_paper_prose() {
 
 #[test]
 fn table1_csv_is_well_formed_and_ordered() {
-    let out = run(env!("CARGO_BIN_EXE_table1"), &["--csv"]);
+    let out = run(&["table1", "--csv"]);
     let mut lines = out.lines();
     assert_eq!(
         lines.next(),
@@ -45,8 +50,19 @@ fn table1_csv_is_well_formed_and_ordered() {
 
 #[test]
 fn table2_csv_shape() {
-    let out = run(env!("CARGO_BIN_EXE_table2"), &["--csv"]);
+    let out = run(&["table2", "--csv"]);
     assert!(out.starts_with("bench,size,sf,method,comm,improvement_pct"));
     assert_eq!(out.lines().count(), 46);
     assert!(out.contains("Grouped-LOMCDS"));
+}
+
+#[test]
+fn unknown_name_fails_and_lists_the_experiments() {
+    let out = spawn(&["table9"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment 'table9'"), "{stderr}");
+    for name in run(&[]).lines() {
+        assert!(stderr.contains(name), "{name} missing from:\n{stderr}");
+    }
 }

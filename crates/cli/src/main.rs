@@ -67,18 +67,15 @@ fn main() -> ExitCode {
             eprintln!("`compare` needs the data-array shape; it cannot run from --trace");
             return ExitCode::FAILURE;
         }
-        match std::fs::read(path) {
-            Ok(raw) => match pim_trace::encode::decode_trace(bytes::Bytes::from(raw)) {
-                Ok(t) => {
-                    println!("loaded trace from {path}");
-                    let n = (t.num_data() as f64).sqrt().ceil() as u32;
-                    (t, pim_workloads::DataSpace::single(n.max(1)).0)
-                }
-                Err(e) => {
-                    eprintln!("cannot decode {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+        let loaded = pim_trace::binfmt::load_flat(path)
+            .map_err(|e| e.to_string())
+            .and_then(|flat| flat.try_to_windowed().map_err(|e| e.to_string()));
+        match loaded {
+            Ok(t) => {
+                println!("loaded trace from {path}");
+                let n = (t.num_data() as f64).sqrt().ceil() as u32;
+                (t, pim_workloads::DataSpace::single(n.max(1)).0)
+            }
             Err(e) => {
                 eprintln!("cannot read {path}: {e}");
                 return ExitCode::FAILURE;
@@ -378,8 +375,8 @@ fn main() -> ExitCode {
                     d.edges().len(),
                     d.num_windows()
                 );
-            } else if path.ends_with(".pimb") {
-                // A `.pimb` destination selects the flat binary container
+            } else {
+                // The trace goes out as the flat binary container
                 // (zero-copy loadable via `run --bin` / `serve` `path`).
                 let flat = pim_trace::flat::FlatTrace::from_trace(&trace);
                 match pim_trace::binfmt::pack_file(&flat, path) {
@@ -393,18 +390,6 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 }
-            } else {
-                let bytes = pim_trace::encode::encode_trace(&trace);
-                if let Err(e) = std::fs::write(path, &bytes) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "wrote {} bytes ({} data x {} windows) to {path}",
-                    bytes.len(),
-                    trace.num_data(),
-                    trace.num_windows()
-                );
             }
         }
         Command::Explain => {

@@ -61,21 +61,69 @@ fn simulate_asserts_model_agreement_and_draws_heatmap() {
     assert!(stdout.contains("link utilization"));
 }
 
-#[test]
-fn export_then_reload_roundtrip() {
+/// A path for `name` in the tests' shared scratch directory.
+fn scratch(name: &str) -> String {
     let dir = std::env::temp_dir().join("pim_cli_smoke");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.pimt");
-    let path = path.to_str().unwrap();
+    dir.join(name).to_str().unwrap().to_owned()
+}
 
-    let (ok, stdout, stderr) = run(&["export", "--bench", "3", "--size", "8", "--out", path]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("wrote"));
+/// The figure after `SCDS: total` in a `run --method scds` report.
+fn scds_total(stdout: &str) -> &str {
+    let rest = stdout
+        .split("SCDS: total ")
+        .nth(1)
+        .expect("an SCDS cost line");
+    rest.split(' ').next().unwrap()
+}
 
-    let (ok, stdout, stderr) = run(&["run", "--trace", path, "--method", "scds"]);
+#[test]
+fn export_then_reload_roundtrip() {
+    let path = &scratch("trace.pimb");
+
+    let generate = ["--bench", "3", "--size", "8"];
+    let (ok, stdout, stderr) = run(&[&["export"], &generate[..], &["--out", path]].concat());
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("loaded trace from"));
-    assert!(stdout.contains("SCDS: total"));
+    assert!(stdout.contains("binary flat trace"), "{stdout}");
+
+    let (ok, generated, stderr) = run(&[&["run"], &generate[..], &["--method", "scds"]].concat());
+    assert!(ok, "{stderr}");
+    let (ok, reloaded, stderr) = run(&["run", "--trace", path, "--method", "scds"]);
+    assert!(ok, "{stderr}");
+    assert!(reloaded.contains("loaded trace from"));
+    assert_eq!(scds_total(&reloaded), scds_total(&generated));
+}
+
+#[test]
+fn legacy_pimt_trace_is_rejected() {
+    let path = scratch("legacy.pimt");
+    let mut bytes = b"PIMT".to_vec();
+    bytes.extend_from_slice(&[1, 0, 0, 0]);
+    bytes.resize(64, 0);
+    std::fs::write(&path, bytes).unwrap();
+
+    let (ok, _, stderr) = run(&["run", "--trace", &path]);
+    assert!(!ok);
+    assert!(stderr.contains("bad magic"), "{stderr}");
+}
+
+#[test]
+fn huge_window_count_is_refused_not_allocated() {
+    let path = &scratch("huge_windows.pimb");
+    let (ok, _, stderr) = run(&["export", "--bench", "3", "--size", "8", "--out", path]);
+    assert!(ok, "{stderr}");
+    // The window count sits at bytes 16..24 of the header, outside the
+    // checksummed payload, so the patched file still decodes.
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[16..24].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+    // A typed refusal, not an allocation abort.
+    let (ok, _, stderr) = run(&["stats", "--trace", path]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("cannot read") && stderr.contains("too sparse"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -93,11 +141,11 @@ fn error_paths_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("--out"));
     // compare from a trace file is rejected with an explanation
-    let (ok, _, stderr) = run(&["compare", "--trace", "/nonexistent.pimt"]);
+    let (ok, _, stderr) = run(&["compare", "--trace", "/nonexistent.pimb"]);
     assert!(!ok);
     assert!(stderr.contains("compare"));
     // unreadable trace file
-    let (ok, _, stderr) = run(&["stats", "--trace", "/nonexistent.pimt"]);
+    let (ok, _, stderr) = run(&["stats", "--trace", "/nonexistent.pimb"]);
     assert!(!ok);
     assert!(stderr.contains("cannot read"));
 }

@@ -54,7 +54,7 @@ pub fn single_center_lower_bound(trace: &WindowedTrace) -> u64 {
 mod tests {
     use super::*;
     use crate::baseline::random_schedule;
-    use crate::{schedule, MemoryPolicy, Method};
+    use crate::{Method, Run};
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
     fn sample() -> WindowedTrace {
@@ -74,19 +74,20 @@ mod tests {
         )
     }
 
+    /// Unbounded total cost of `method` on `trace`.
+    fn total(trace: &WindowedTrace, method: Method) -> u64 {
+        let s = Run::new(trace).run_method(method).unwrap();
+        s.evaluate(trace).total()
+    }
+
     #[test]
     fn sandwich_holds() {
         let trace = sample();
         let lb = reference_lower_bound(&trace);
-        let go = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
-            .evaluate(&trace)
-            .total();
+        let go = total(&trace, Method::Gomcds);
         assert!(lb <= go, "lower bound {lb} exceeds optimum {go}");
         for m in [Method::Scds, Method::Lomcds, Method::GroupedLocal] {
-            let cost = schedule(m, &trace, MemoryPolicy::Unbounded)
-                .evaluate(&trace)
-                .total();
-            assert!(go <= cost);
+            assert!(go <= total(&trace, m));
         }
         // a random schedule sits far above the bound
         let rnd = random_schedule(&trace, 7).evaluate(&trace).total();
@@ -96,10 +97,10 @@ mod tests {
     #[test]
     fn static_bound_is_scds() {
         let trace = sample();
-        let scds = schedule(Method::Scds, &trace, MemoryPolicy::Unbounded)
-            .evaluate(&trace)
-            .total();
-        assert_eq!(single_center_lower_bound(&trace), scds);
+        assert_eq!(
+            single_center_lower_bound(&trace),
+            total(&trace, Method::Scds)
+        );
     }
 
     #[test]
@@ -109,10 +110,7 @@ mod tests {
         // achieved exactly
         let win = || WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2), (grid.proc_xy(2, 1), 1)]);
         let trace = WindowedTrace::from_parts(grid, vec![vec![win(), win(), win()]]);
-        let go = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
-            .evaluate(&trace)
-            .total();
-        assert_eq!(go, reference_lower_bound(&trace));
+        assert_eq!(total(&trace, Method::Gomcds), reference_lower_bound(&trace));
     }
 
     #[test]

@@ -208,13 +208,6 @@ impl<'t> SchedContext<'t> {
     pub fn workspace(&mut self) -> &mut Workspace {
         &mut self.ws
     }
-
-    /// Swap the context's workspace with a caller-owned one (used by the
-    /// deprecated `schedule_cached` shim to honour its warm-buffer
-    /// contract).
-    pub(crate) fn swap_workspace(&mut self, ws: &mut Workspace) {
-        core::mem::swap(&mut self.ws, ws);
-    }
 }
 
 #[cfg(test)]

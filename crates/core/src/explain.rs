@@ -130,7 +130,7 @@ pub fn summarize(trace: &WindowedTrace, schedule: &Schedule) -> ScheduleSummary 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{schedule, MemoryPolicy, Method};
+    use crate::{Method, Run};
     use pim_array::grid::Grid;
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn gomcds_trades_regret_for_movement() {
         let trace = sample();
-        let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
+        let s = Run::new(&trace).run_method(Method::Gomcds).unwrap();
         let story = explain_data(&trace, &s, DataId(0));
         // GOMCDS stays at (0,0): window 1 has regret 3, no moves anywhere
         assert_eq!(story[0].regret, 0);
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn lomcds_has_zero_regret() {
         let trace = sample();
-        let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
+        let s = Run::new(&trace).run_method(Method::Lomcds).unwrap();
         let sum = summarize(&trace, &s);
         assert_eq!(sum.total_regret, 0, "LOMCDS sits on every local optimum");
         assert!(sum.moves > 0);
@@ -175,7 +175,7 @@ mod tests {
     fn explanation_costs_reconcile_with_evaluate() {
         let trace = sample();
         for m in [Method::Scds, Method::Lomcds, Method::Gomcds] {
-            let s = schedule(m, &trace, MemoryPolicy::Unbounded);
+            let s = Run::new(&trace).run_method(m).unwrap();
             let story = explain_data(&trace, &s, DataId(0));
             let total: u64 = story.iter().map(|e| e.reference_cost + e.move_cost).sum();
             assert_eq!(total, s.evaluate(&trace).total(), "{m}");
@@ -185,12 +185,12 @@ mod tests {
     #[test]
     fn render_shows_moves_and_regret() {
         let trace = sample();
-        let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
+        let s = Run::new(&trace).run_method(Method::Lomcds).unwrap();
         let text = render_data(&trace, &s, DataId(0));
         assert!(text.contains("D0:"));
         assert!(text.contains("w0"));
         assert!(text.contains("(0,0)"));
-        let s2 = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
+        let s2 = Run::new(&trace).run_method(Method::Gomcds).unwrap();
         let text2 = render_data(&trace, &s2, DataId(0));
         assert!(text2.contains("local optimum would save 3"));
     }

@@ -331,6 +331,7 @@ pub fn flat_total_cost<V: FlatView + ?Sized>(flat: &V, schedule: &Schedule) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Method, Run};
     use pim_array::grid::Grid;
     use pim_trace::flat::FlatTrace;
     use pim_trace::window::{WindowRefs, WindowedTrace};
@@ -365,20 +366,21 @@ mod tests {
             MemoryPolicy::ScaledMinimum { factor: 2 },
             MemoryPolicy::Capacity(1),
         ] {
-            let classic = |m| crate::pipeline::schedule(m, &trace, policy);
+            let mut run = Run::new(&trace).policy(policy);
+            let mut classic = |m| run.run_method(m).unwrap();
             assert_eq!(
                 flat_scds(&flat, policy, pool).unwrap(),
-                classic(crate::pipeline::Method::Scds),
+                classic(Method::Scds),
                 "SCDS {policy:?}"
             );
             assert_eq!(
                 flat_lomcds(&flat, policy, pool).unwrap(),
-                classic(crate::pipeline::Method::Lomcds),
+                classic(Method::Lomcds),
                 "LOMCDS {policy:?}"
             );
             assert_eq!(
                 flat_gomcds(&flat, policy, pool).unwrap(),
-                classic(crate::pipeline::Method::Gomcds),
+                classic(Method::Gomcds),
                 "GOMCDS {policy:?}"
             );
         }
@@ -388,12 +390,8 @@ mod tests {
     fn flat_cost_matches_schedule_evaluate() {
         let trace = sample_trace();
         let flat = FlatTrace::from_trace(&trace);
-        for m in [
-            crate::pipeline::Method::Scds,
-            crate::pipeline::Method::Lomcds,
-            crate::pipeline::Method::Gomcds,
-        ] {
-            let s = crate::pipeline::schedule(m, &trace, MemoryPolicy::Unbounded);
+        for m in [Method::Scds, Method::Lomcds, Method::Gomcds] {
+            let s = Run::new(&trace).run_method(m).unwrap();
             assert_eq!(flat_total_cost(&flat, &s), s.evaluate(&trace), "{m}");
         }
     }

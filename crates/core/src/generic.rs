@@ -20,7 +20,6 @@
 
 use pim_array::grid::ProcId;
 use pim_array::topology::Topology;
-use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
 
 /// `out[p] = Σ volume · dist(p, referencing proc)` for every processor.
@@ -158,10 +157,6 @@ pub fn striped_generic<T: Topology + ?Sized>(topo: &T, trace: &WindowedTrace) ->
         .map(|d| vec![ProcId(d % m); trace.num_windows()])
         .collect()
 }
-
-/// The datum id used by [`evaluate_generic`]'s panic messages.
-#[allow(unused)]
-fn _doc_anchor(_: DataId) {}
 
 #[cfg(test)]
 mod tests {

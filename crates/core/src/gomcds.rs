@@ -44,10 +44,9 @@ use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_trace::window::{DataRefString, WindowedTrace};
-use serde::{Deserialize, Serialize};
 
 /// Inner-minimum strategy for the layered shortest path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
     /// `O(m²)` per window — the paper's literal cost-graph relaxation.
     Naive,

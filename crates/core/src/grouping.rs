@@ -30,7 +30,7 @@
 use crate::cache::{CostCache, DatumCostCache};
 use crate::cost::{cost_at, optimal_center, INF};
 use crate::error::{ensure_feasible, exhausted, SchedError};
-use crate::gomcds::{gomcds_path, gomcds_path_ranges, Solver};
+use crate::gomcds::{gomcds_path, Solver};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
 use core::ops::Range;
@@ -38,11 +38,10 @@ use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
-use serde::{Deserialize, Serialize};
 
 /// How centers are computed for a grouped window set when costing a
 /// grouping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupMethod {
     /// Each group's center is the local optimal center of its merged
     /// references (what Table 2 of the paper uses: "Algorithm 3 assuming
@@ -125,48 +124,6 @@ pub fn cost_of_grouping(
             let regrouped = rs.regrouped(groups);
             gomcds_path(grid, &regrouped, Solver::DistanceTransform).1
         }
-    }
-}
-
-/// [`cost_of_grouping`] served from the datum's cost cache: each candidate
-/// group range costs `O(width + height + m)` regardless of how many
-/// references it merges — this is what turns Algorithm 3's inner loop from
-/// `O(r·m)` per evaluation into grid-sized work.
-pub fn cost_of_grouping_cached(
-    grid: &Grid,
-    cache: &DatumCostCache,
-    groups: &[Range<usize>],
-    group_method: GroupMethod,
-    ws: &mut Workspace,
-) -> u64 {
-    match group_method {
-        GroupMethod::LocalCenters => {
-            // A non-empty group's resolved center is its own optimal
-            // center, so its reference cost is exactly the optimum the
-            // argmin reports; empty groups carry a center forward and
-            // contribute zero reference cost.
-            let mut refcost = 0u64;
-            let mut centers: Vec<Option<ProcId>> = groups
-                .iter()
-                .map(|g| {
-                    (!cache.range_is_empty(g.start, g.end)).then(|| {
-                        let (c, cost) =
-                            cache.optimal_center_range(g.start, g.end, &mut ws.axes, &mut ws.table);
-                        refcost += cost;
-                        c
-                    })
-                })
-                .collect();
-            crate::lomcds::resolve_gaps_pub(&mut centers);
-            let mut total = refcost;
-            for pair in centers.windows(2) {
-                let a = pair[0].unwrap_or(ProcId(0));
-                let b = pair[1].unwrap_or(ProcId(0));
-                total += grid.dist(a, b);
-            }
-            total
-        }
-        GroupMethod::GomcdsCenters => gomcds_path_ranges(grid, cache, groups, ws).1,
     }
 }
 

@@ -54,7 +54,7 @@
 //! * [`context`] — the [`SchedContext`] a scheduler runs against: grid,
 //!   policy, shared cost cache, workspace, optional pool.
 //! * [`pipeline`] — the [`Run`] builder (one canonical entry point driving
-//!   any registered scheduler) plus the paper-table comparison helpers.
+//!   any registered scheduler) plus `compare_methods`.
 //! * [`precedence`] — precedence-aware scheduling over an optional task
 //!   DAG (`list-scds` / `edf-scds`): list-scheduling priorities steer
 //!   center selection and capacity order.
@@ -120,10 +120,7 @@ pub use error::SchedError;
 pub use flat::{flat_gomcds, flat_lomcds, flat_scds, flat_total_cost};
 pub use incremental::{IncrementalError, IncrementalRun};
 pub use pim_metrics::{Metrics, MetricsReport};
-pub use pipeline::{
-    compare_methods, schedule, schedule_cached, schedule_parallel, schedule_uncached, MemoryPolicy,
-    Method, Run,
-};
+pub use pipeline::{compare_methods, MemoryPolicy, Method, Run};
 pub use precedence::{
     estimate_completion, task_priorities, EdfScdsScheduler, ListScdsScheduler, PriorityMode,
 };

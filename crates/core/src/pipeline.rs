@@ -1,11 +1,9 @@
-//! One-call scheduling front end: the [`Run`] builder and compatibility
-//! shims over the [`mod@crate::registry`] engine.
+//! One-call scheduling front end: the [`Run`] builder over the
+//! [`mod@crate::registry`] engine.
 //!
-//! Historically this module held four parallel entry points (`schedule`,
-//! `schedule_cached`, `schedule_uncached`, `schedule_parallel`) that each
-//! re-dispatched on [`Method`]. All dispatch now lives in the
-//! [`SchedulerRegistry`](crate::registry::SchedulerRegistry); the four
-//! functions survive as thin shims and the one canonical path is:
+//! All dispatch lives in the
+//! [`SchedulerRegistry`](crate::registry::SchedulerRegistry); [`Run`] is
+//! the one entry point that drives it:
 //!
 //! ```
 //! use pim_array::grid::Grid;
@@ -24,23 +22,18 @@
 //! assert_eq!(sched.evaluate(&trace).total(), 6);
 //! ```
 //!
-//! One [`Run`] amortizes its [`CostCache`] and workspace across every
-//! scheduler it drives — `compare_methods` is just a `Run` looped over the
-//! registry's comparison set.
+//! One [`Run`] amortizes its [`CostCache`](crate::cache::CostCache) and
+//! workspace across every scheduler it drives — `compare_methods` is just
+//! a `Run` looped over the registry's comparison set.
 
-use crate::baseline;
-use crate::cache::CostCache;
 use crate::context::{PrecedencePolicy, SchedContext};
 use crate::error::SchedError;
 use crate::registry::{registry, Scheduler};
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
-use pim_array::layout::Layout;
 use pim_array::memory::MemorySpec;
 use pim_metrics::{Metrics, PoolUsage};
 use pim_par::Pool;
 use pim_trace::window::WindowedTrace;
-use serde::{Deserialize, Serialize};
 
 /// Which scheduling algorithm to run — the closed enum form of the paper's
 /// method set, kept for exhaustive sweeps ([`Method::ALL`]) and pattern
@@ -48,7 +41,7 @@ use serde::{Deserialize, Serialize};
 /// [`Scheduler`] ([`Method::scheduler`]); the registry also carries
 /// strategies that have no `Method` variant (`baseline`, `online`,
 /// `kcopy`, `replicate`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Single-Center Data Scheduling (Algorithm 1).
     Scds,
@@ -112,7 +105,7 @@ impl core::fmt::Display for Method {
 }
 
 /// Memory model under which to schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryPolicy {
     /// No capacity constraint (the pure scheduling question).
     Unbounded,
@@ -184,7 +177,8 @@ impl<'t> Run<'t> {
         self
     }
 
-    /// Serve cost tables from a prebuilt [`CostCache`] (default `true`).
+    /// Serve cost tables from a prebuilt
+    /// [`CostCache`](crate::cache::CostCache) (default `true`).
     /// `cached(false)` drives the pre-cache reference implementations —
     /// the bit-identity oracles the conformance suite compares against.
     pub fn cached(mut self, cached: bool) -> Self {
@@ -289,78 +283,6 @@ impl<'t> Run<'t> {
     }
 }
 
-/// Run one scheduling method over a trace.
-///
-/// Compatibility shim over [`Run`] — prefer
-/// `Run::new(trace).policy(policy).run_method(method)` for a typed
-/// [`SchedError`] instead of the panic below.
-///
-/// # Panics
-/// Panics when the memory policy cannot hold the working set.
-pub fn schedule(method: Method, trace: &WindowedTrace, policy: MemoryPolicy) -> Schedule {
-    Run::new(trace)
-        .policy(policy)
-        .run_method(method)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Run one scheduling method from a prebuilt per-trace cost cache and a
-/// reusable workspace. Building the cache once and calling this for several
-/// methods (or memory policies) amortizes the reference-string scans; output
-/// is bit-identical to [`schedule`].
-///
-/// Compatibility shim — a [`Run`] owns and amortizes the cache/workspace
-/// itself, so new code passes neither. This wrapper clones the caller's
-/// cache view (cheap relative to a build) and borrows their warm buffers.
-pub fn schedule_cached<'t>(
-    method: Method,
-    trace: &'t WindowedTrace,
-    policy: MemoryPolicy,
-    cache: &CostCache<'t>,
-    ws: &mut Workspace,
-) -> Schedule {
-    let mut ctx = SchedContext::with_cache(trace, policy, cache.clone());
-    ctx.swap_workspace(ws);
-    let sched = method
-        .scheduler()
-        .schedule(&mut ctx, trace)
-        .unwrap_or_else(|e| panic!("{e}"));
-    ctx.swap_workspace(ws);
-    sched
-}
-
-/// Pre-cache reference dispatch: every method re-walks reference strings as
-/// the seed implementation did. Bit-identical to [`schedule`]; kept for the
-/// equivalence property tests and the `cached_vs_uncached` bench.
-///
-/// Compatibility shim — prefer `Run::new(trace).cached(false)`.
-pub fn schedule_uncached(method: Method, trace: &WindowedTrace, policy: MemoryPolicy) -> Schedule {
-    Run::new(trace)
-        .policy(policy)
-        .cached(false)
-        .run_method(method)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Run one scheduling method with per-datum parallelism; results are
-/// identical to `schedule(method, trace, MemoryPolicy::Unbounded)`. For a
-/// bounded policy, use `Run::new(trace).policy(policy).parallel(pool)` —
-/// the two-phase scheme keeps that bit-identical to sequential too.
-///
-/// The trace-level [`CostCache`] is shared read-only by every worker (each
-/// datum's prefix tables build lazily on whichever worker first needs
-/// them); each persistent pool worker reuses one [`Workspace`] across all
-/// the data it claims, so the parallel region allocates nothing but the
-/// output rows.
-///
-/// Compatibility shim — prefer `Run::new(trace).parallel(pool)`.
-pub fn schedule_parallel(method: Method, trace: &WindowedTrace, pool: Pool) -> Schedule {
-    Run::new(trace)
-        .parallel(pool)
-        .run_method(method)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Evaluate the registry's comparison set (SCDS, LOMCDS, GOMCDS, grouped
 /// variants — any registered [`Scheduler`] with
 /// [`in_comparison`](Scheduler::in_comparison)) on one trace, returning
@@ -376,49 +298,9 @@ pub fn compare_methods(trace: &WindowedTrace, policy: MemoryPolicy) -> Vec<(&'st
         .collect()
 }
 
-/// Comparison of a scheduler set (and the straight-forward baseline) on
-/// one trace — the row format of the paper's tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Comparison {
-    /// Straight-forward (row-wise) baseline total cost.
-    pub straightforward: u64,
-    /// `(scheduler name, total cost, % improvement over straightforward)`.
-    pub rows: Vec<(&'static str, u64, f64)>,
-}
-
-/// Run the paper's comparison: straight-forward baseline vs a set of
-/// registered schedulers (resolve names with
-/// [`crate::registry::schedulers`]). `rows`/`cols` describe the data array
-/// shape for the baseline.
-pub fn compare(
-    trace: &WindowedTrace,
-    rows: u32,
-    cols: u32,
-    schedulers: &[&dyn Scheduler],
-    policy: MemoryPolicy,
-) -> Comparison {
-    let sf = baseline::layout_schedule(trace, rows, cols, Layout::RowWise)
-        .evaluate(trace)
-        .total();
-    let mut run = Run::new(trace).policy(policy);
-    let out_rows = schedulers
-        .iter()
-        .map(|&s| {
-            let sched = run.run(s).unwrap_or_else(|e| panic!("{e}"));
-            let cost = sched.evaluate(trace).total();
-            (s.name(), cost, crate::schedule::improvement_pct(sf, cost))
-        })
-        .collect();
-    Comparison {
-        straightforward: sf,
-        rows: out_rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::schedulers;
     use pim_array::grid::Grid;
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
@@ -444,9 +326,10 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_unbounded() {
         let trace = sample_trace();
+        let pool = Pool::with_threads(4);
         for method in Method::ALL {
-            let seq = schedule(method, &trace, MemoryPolicy::Unbounded);
-            let par = schedule_parallel(method, &trace, Pool::with_threads(4));
+            let seq = Run::new(&trace).run_method(method).unwrap();
+            let par = Run::new(&trace).parallel(pool).run_method(method).unwrap();
             assert_eq!(
                 seq.evaluate(&trace),
                 par.evaluate(&trace),
@@ -459,14 +342,10 @@ mod tests {
     #[test]
     fn method_ordering_gomcds_best() {
         let trace = sample_trace();
-        let c = compare(
-            &trace,
-            1,
-            2,
-            &schedulers(&["SCDS", "LOMCDS", "GOMCDS"]),
-            MemoryPolicy::Unbounded,
-        );
-        let costs: Vec<u64> = c.rows.iter().map(|r| r.1).collect();
+        let costs: Vec<u64> = compare_methods(&trace, MemoryPolicy::Unbounded)
+            .iter()
+            .map(|r| r.1)
+            .collect();
         assert!(costs[2] <= costs[1], "GOMCDS ≤ LOMCDS");
         assert!(costs[2] <= costs[0], "GOMCDS ≤ SCDS");
     }
@@ -515,11 +394,10 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(
             a,
-            schedule(
-                Method::Gomcds,
-                &trace,
-                MemoryPolicy::ScaledMinimum { factor: 2 }
-            )
+            Run::new(&trace)
+                .policy(MemoryPolicy::ScaledMinimum { factor: 2 })
+                .run_method(Method::Gomcds)
+                .unwrap()
         );
         assert!(matches!(
             run.run_named("no-such-method"),

@@ -28,10 +28,9 @@
 //! schedule is bit-identical with metrics enabled vs. disabled.
 //!
 //! [`MetricsReport`] is the frozen snapshot; [`MetricsReport::to_json`]
-//! renders it as a JSON object (hand-rolled — the vendored serde shim has
-//! no serializer) for embedding into a `RunReport` or a bench row.
+//! renders it as a hand-rolled JSON object for embedding into a
+//! `RunReport` or a bench row.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -71,7 +70,7 @@ struct PlacementStats {
 }
 
 /// Pool-utilization delta over one run of the `pim-par` worker pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolUsage {
     /// Parallel jobs submitted to the pool.
     pub jobs: u64,
@@ -285,7 +284,7 @@ impl Drop for PhaseTimer<'_> {
 }
 
 /// Frozen cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheReport {
     /// Lazy prefix-table builds.
     pub prefix_builds: u64,
@@ -300,7 +299,7 @@ pub struct CacheReport {
 }
 
 /// Frozen incremental-rescheduling counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalReport {
     /// Delta resolves performed by an incremental engine.
     pub resolves: u64,
@@ -311,7 +310,7 @@ pub struct IncrementalReport {
 }
 
 /// Frozen capacity-displacement counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlacementReport {
     /// Bounded-policy placements recorded.
     pub placements: u64,
@@ -326,7 +325,7 @@ pub struct PlacementReport {
 }
 
 /// Frozen wall time of one named phase.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseReport {
     /// Phase name (scheduler name, or `<name>/phase1-…` inside two-phase
     /// bounded runs).
@@ -338,7 +337,7 @@ pub struct PhaseReport {
 }
 
 /// Full frozen snapshot of a [`Metrics`] sink.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
     /// False when the run recorded nothing (disabled handle).
     pub enabled: bool,

@@ -4,12 +4,11 @@
 //! The analytic model (`pim-sched`), the routed simulation (this crate)
 //! and the observability layer (`pim-metrics`) each describe the same run
 //! from a different angle. [`RunReport`] flattens all three into a single
-//! serializable row — the export format behind `pim-cli run --metrics`
+//! exportable row — the export format behind `pim-cli run --metrics`
 //! and the per-row `"metrics"` objects in `BENCH_sched.json` — and
 //! [`collect_run_report`] is the one-call front end that produces it.
 //!
-//! JSON is hand-rolled ([`RunReport::to_json`]): the vendored `serde`
-//! shim provides derive markers only, no serializer.
+//! JSON is hand-rolled ([`RunReport::to_json`]).
 
 use crate::cycle::CycleResult;
 use crate::error::RunError;
@@ -17,11 +16,11 @@ use crate::report::SimReport;
 use pim_par::Pool;
 use pim_sched::schedule::{CostBreakdown, Schedule};
 use pim_sched::{MemoryPolicy, Metrics, MetricsReport, Run};
+use pim_trace::json::escape;
 use pim_trace::window::WindowedTrace;
-use serde::Serialize;
 
 /// Everything one run produced, in export order.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Registry name of the scheduler that produced the run.
     pub scheduler: String,
@@ -112,13 +111,13 @@ impl RunReport {
         self
     }
 
-    /// Serialize as one JSON object. Non-finite float fields render as
+    /// Render as one JSON object. Non-finite float fields render as
     /// `0.0` — the struct's fields are public, and a hand-assembled report
     /// must not be able to emit bare `NaN` (invalid JSON).
     pub fn to_json(&self) -> String {
         let finite = |v: f64| if v.is_finite() { v } else { 0.0 };
         let hottest = match &self.hottest_link {
-            Some(l) => format!("\"{}\"", escape_json(l)),
+            Some(l) => format!("\"{}\"", escape(l)),
             None => "null".to_string(),
         };
         let windows = self
@@ -151,8 +150,8 @@ impl RunReport {
                 "\"window_completion_cycles\":[{}]}},{}",
                 "\"metrics\":{}}}"
             ),
-            escape_json(&self.scheduler),
-            escape_json(&self.policy),
+            escape(&self.scheduler),
+            escape(&self.policy),
             self.analytic_total,
             self.analytic_reference,
             self.analytic_movement,
@@ -171,24 +170,6 @@ impl RunReport {
             self.metrics.to_json(),
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// enough for scheduler names, policy debug strings and link labels.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Schedule `name` over `trace` under `policy`, simulate the result (both
@@ -367,8 +348,8 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\ny"), "x\\ny");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("x\ny"), "x\\ny");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

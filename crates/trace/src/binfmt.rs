@@ -384,7 +384,7 @@ fn encode_ref(r: &FlatRef) -> [u8; REF_BYTES] {
     out
 }
 
-/// Serialize `flat` into the binary container. Two passes over the CSR
+/// Encode `flat` into the binary container. Two passes over the CSR
 /// arrays (checksum, then write) so nothing is buffered beyond `w`'s own
 /// buffering — wrap files in a `BufWriter`.
 pub fn write_flat(flat: &FlatTrace, w: &mut impl Write) -> io::Result<()> {
@@ -412,7 +412,7 @@ pub fn write_flat(flat: &FlatTrace, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Serialize `flat` into an in-memory buffer (tests and small traces).
+/// Encode `flat` into an in-memory buffer (tests and small traces).
 pub fn encode_flat(flat: &FlatTrace) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         HEADER_LEN + flat.num_data() * OFFSET_BYTES + OFFSET_BYTES + flat.num_refs() * REF_BYTES,

@@ -379,7 +379,7 @@ impl TaskDag {
         &self.topo
     }
 
-    /// Serialize to the JSON document [`TaskDag::from_json`] accepts:
+    /// Render to the JSON document [`TaskDag::from_json`] accepts:
     ///
     /// ```json
     /// {"version":1,"num_windows":2,

@@ -120,7 +120,7 @@ impl TraceDelta {
         self.ops.len()
     }
 
-    /// Serialize to the JSON document [`TraceDelta::from_json`] accepts:
+    /// Render to the JSON document [`TraceDelta::from_json`] accepts:
     ///
     /// ```json
     /// {"version":1,"ops":[

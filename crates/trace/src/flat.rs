@@ -111,6 +111,14 @@ pub enum FlatTraceError {
     },
     /// The underlying reader failed.
     Io(std::io::Error),
+    /// [`FlatTrace::try_to_windowed`] refused to build a nested form far
+    /// larger than the records the trace stores.
+    TooSparse {
+        /// Number of data the trace declares.
+        data: usize,
+        /// Number of windows the trace declares.
+        windows: usize,
+    },
 }
 
 impl core::fmt::Display for FlatTraceError {
@@ -129,6 +137,9 @@ impl core::fmt::Display for FlatTraceError {
             FlatTraceError::IdOverflow(e) => write!(f, "{e}"),
             FlatTraceError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
             FlatTraceError::Io(e) => write!(f, "read error: {e}"),
+            FlatTraceError::TooSparse { data, windows } => {
+                write!(f, "{data} data x {windows} windows is too sparse to expand")
+            }
         }
     }
 }
@@ -438,7 +449,7 @@ impl FlatTrace {
         FlatTrace::from_records(grid, nw, nd, records)
     }
 
-    /// Serialize to the text format [`FlatTrace::from_reader`] accepts.
+    /// Render to the text format [`FlatTrace::from_reader`] accepts.
     pub fn to_text(&self) -> String {
         use core::fmt::Write;
         let mut out = String::new();
@@ -460,7 +471,8 @@ impl FlatTrace {
     }
 
     /// Expand back into the nested per-window representation (tests and
-    /// small instances; defeats the point at scale).
+    /// small instances; defeats the point at scale). Input from outside
+    /// the program goes through [`FlatTrace::try_to_windowed`].
     pub fn to_windowed(&self) -> WindowedTrace {
         let data = (0..self.num_data())
             .map(|d| {
@@ -474,6 +486,25 @@ impl FlatTrace {
             })
             .collect();
         WindowedTrace::from_parts(self.grid, data)
+    }
+
+    /// [`FlatTrace::to_windowed`], refused with
+    /// [`FlatTraceError::TooSparse`] when the nested form would hold more
+    /// than 64 `(datum, window)` cells per stored datum or reference,
+    /// beyond a floor of 2^20 cells (24 MiB) that every small trace fits.
+    /// The paper benchmarks and synthetic `scale` instances hold 1 to 10
+    /// cells per record; a few-kilobyte `.pimb` whose header claims
+    /// 2^32 - 1 windows would otherwise ask for terabytes.
+    pub fn try_to_windowed(&self) -> Result<WindowedTrace, FlatTraceError> {
+        let records = self.num_data() + self.num_refs();
+        let budget = records.saturating_mul(64).max(1 << 20);
+        match self.num_data().checked_mul(self.num_windows) {
+            Some(cells) if cells <= budget => Ok(self.to_windowed()),
+            _ => Err(FlatTraceError::TooSparse {
+                data: self.num_data(),
+                windows: self.num_windows,
+            }),
+        }
     }
 
     /// The processor grid.
@@ -632,6 +663,21 @@ mod tests {
         assert_eq!(flat.num_refs(), 4);
         assert_eq!(flat.total_volume(), trace.total_volume());
         assert_eq!(flat.to_windowed(), trace);
+    }
+
+    #[test]
+    fn checked_expansion_refuses_mostly_empty_windows() {
+        let trace = sample_trace();
+        assert_eq!(
+            FlatTrace::from_trace(&trace).try_to_windowed().unwrap(),
+            trace
+        );
+        // A sparse trace inside the floor still expands; 2^32 - 1 windows do not.
+        let sparse = |windows| FlatTrace::from_records(trace.grid(), windows, 3, []).unwrap();
+        assert_eq!(sparse(1000).try_to_windowed().unwrap().num_windows(), 1000);
+        let huge = sparse(u32::MAX as usize).try_to_windowed();
+        let err = huge.map(|t| t.num_data()).unwrap_err();
+        assert!(err.to_string().contains("4294967295 windows"), "{err}");
     }
 
     #[test]

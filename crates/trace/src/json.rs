@@ -1,6 +1,6 @@
 //! Just-enough JSON for the workspace's hand-rolled documents.
 //!
-//! The vendored serde shim has no serializer or deserializer, so every
+//! The workspace has no serialization dependency, so every
 //! JSON surface in this workspace — DAG files ([`crate::dag::TaskDag`]),
 //! churn deltas ([`crate::edit::TraceDelta`]), and the `pim-serve` request
 //! protocol — is written and parsed by hand. This module is the one shared

@@ -10,11 +10,10 @@
 use crate::ids::DataId;
 use crate::window::WindowedTrace;
 use pim_array::grid::ProcId;
-use serde::{Deserialize, Serialize};
 
 /// One processor's references within one window: sorted, aggregated
 /// `(datum, count)` pairs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcWindowRefs {
     refs: Vec<(DataId, u32)>,
 }
@@ -68,7 +67,7 @@ impl ProcWindowRefs {
 /// assert_eq!(view.refs(ProcId(2), 0).volume_of(DataId(0)), 5);
 /// assert_eq!(view.proc_volume(ProcId(0)), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcView {
     num_windows: usize,
     /// `per_proc[p][w]`.

@@ -82,7 +82,7 @@ pub fn figure1_trace() -> (WindowedTrace, DataSpace) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_sched::{schedule, MemoryPolicy, Method};
+    use pim_sched::{Method, Run};
     use pim_trace::ids::DataId;
 
     #[test]
@@ -91,20 +91,20 @@ mod tests {
         let g = grid();
         let exp = expectation();
 
-        let scds = schedule(Method::Scds, &trace, MemoryPolicy::Unbounded);
+        let scds = Run::new(&trace).run_method(Method::Scds).unwrap();
         assert_eq!(
             scds.center(DataId(0), 0),
             g.proc_xy(exp.scds_center.0, exp.scds_center.1)
         );
         assert_eq!(scds.evaluate(&trace).total(), exp.scds_cost);
 
-        let lomcds = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
+        let lomcds = Run::new(&trace).run_method(Method::Lomcds).unwrap();
         for (w, &(x, y)) in exp.lomcds_centers.iter().enumerate() {
             assert_eq!(lomcds.center(DataId(0), w), g.proc_xy(x, y), "LOMCDS w{w}");
         }
         assert_eq!(lomcds.evaluate(&trace).total(), exp.lomcds_cost);
 
-        let gomcds = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
+        let gomcds = Run::new(&trace).run_method(Method::Gomcds).unwrap();
         for (w, &(x, y)) in exp.gomcds_centers.iter().enumerate() {
             assert_eq!(gomcds.center(DataId(0), w), g.proc_xy(x, y), "GOMCDS w{w}");
         }

@@ -14,7 +14,7 @@
 use pim_array::grid::Grid;
 use pim_array::layout::Layout;
 use pim_sched::schedule::improvement_pct;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_trace::stats::{hottest_data, trace_stats};
 use pim_workloads::{windowed, Benchmark};
 
@@ -52,7 +52,8 @@ fn main() {
             .straightforward(&trace, Layout::RowWise)
             .evaluate(&trace)
             .total();
-        let pct = |m| improvement_pct(sf, schedule(m, &trace, memory).evaluate(&trace).total());
+        let mut run = Run::new(&trace).policy(memory);
+        let mut pct = |m| improvement_pct(sf, run.run_method(m).unwrap().evaluate(&trace).total());
         println!(
             "{:<22} {:>10} {:>8.1}% {:>8.1}% {:>8.1}%",
             bench.name(),

@@ -11,7 +11,7 @@
 use pim_array::grid::Grid;
 use pim_array::layout::Layout;
 use pim_sched::schedule::improvement_pct;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_trace::stats::trace_stats;
 use pim_workloads::{windowed, Benchmark};
 
@@ -54,7 +54,7 @@ fn main() {
         Method::Gomcds,
         Method::GroupedLocal,
     ] {
-        let s = schedule(method, &trace, memory);
+        let s = Run::new(&trace).policy(memory).run_method(method).unwrap();
         let cost = s.evaluate(&trace);
         println!(
             "{:<16} {:>10} {:>7.1}%   ({} moves)",

@@ -13,7 +13,7 @@
 use pim_array::grid::Grid;
 use pim_array::layout::Layout;
 use pim_par::Pool;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_workloads::{windowed, Benchmark};
 
 fn main() {
@@ -31,7 +31,10 @@ fn main() {
     let baseline = space.straightforward(&trace, Layout::RowWise);
     let mut rows = vec![("row-wise (S.F.)".to_string(), baseline)];
     for method in [Method::Scds, Method::Lomcds, Method::Gomcds] {
-        rows.push((method.name().to_string(), schedule(method, &trace, memory)));
+        rows.push((
+            method.name().to_string(),
+            Run::new(&trace).policy(memory).run_method(method).unwrap(),
+        ));
     }
 
     for (name, sched) in rows {

@@ -6,7 +6,7 @@
 //! ```
 
 use pim_array::grid::Grid;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{Method, Run};
 use pim_trace::builder::TraceBuilder;
 use pim_trace::ids::DataId;
 
@@ -24,7 +24,7 @@ fn main() {
 
     println!("one datum, three windows: refs 2@(0,0), then 5@(3,3) twice\n");
     for method in [Method::Scds, Method::Lomcds, Method::Gomcds] {
-        let s = schedule(method, &trace, MemoryPolicy::Unbounded);
+        let s = Run::new(&trace).run_method(method).unwrap();
         let centers: Vec<String> = (0..trace.num_windows())
             .map(|w| {
                 let p = grid.point_of(s.center(DataId(0), w));

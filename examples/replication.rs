@@ -11,7 +11,7 @@
 
 use pim_array::grid::Grid;
 use pim_sched::replicate::replicated_schedule;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_trace::ids::DataId;
 use pim_workloads::{windowed, Benchmark};
 
@@ -34,9 +34,8 @@ fn main() {
         let (trace, _) = windowed(bench, grid, n, 2, 1998);
         let policy = MemoryPolicy::ScaledMinimum { factor: 2 };
         let spec = policy.resolve(&trace);
-        let single = schedule(Method::Gomcds, &trace, policy)
-            .evaluate(&trace)
-            .total();
+        let single = Run::new(&trace).policy(policy).run_method(Method::Gomcds);
+        let single = single.unwrap().evaluate(&trace).total();
         let repl = replicated_schedule(&trace, spec);
         let dual = repl.evaluate(&trace).total();
         println!(

@@ -11,7 +11,7 @@
 
 use pim_array::grid::Grid;
 use pim_sched::grouping::{greedy_grouping, GroupMethod};
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_trace::ids::DataId;
 use pim_workloads::{windowed, Benchmark};
 
@@ -27,7 +27,8 @@ fn main() {
     );
     for steps in [1usize, 2, 4, 8, 16] {
         let (trace, _) = windowed(Benchmark::CodeReverse, grid, n, steps, 1998);
-        let cost = |m| schedule(m, &trace, memory).evaluate(&trace).total();
+        let mut run = Run::new(&trace).policy(memory);
+        let mut cost = |m| run.run_method(m).unwrap().evaluate(&trace).total();
         println!(
             "{:>10} {:>8} {:>10} {:>10} {:>10}",
             steps,

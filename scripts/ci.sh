@@ -29,6 +29,16 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo bench --no-run =="
 cargo bench --no-run -q
 
+# Every experiment of the reproduction binary (the paper's tables, Figure
+# 1 and all ablations) must run to completion.
+echo "== experiments (every name it lists) =="
+experiment_names="$(./target/release/experiments)"
+[ -n "$experiment_names" ] || { echo "experiments listed no names"; exit 1; }
+for name in $experiment_names; do
+  ./target/release/experiments "$name" > /dev/null \
+    || { echo "experiments $name failed"; exit 1; }
+done
+
 # Deny broken intra-doc links in first-party crates. Scoped with -p: the
 # vendored shims (vendor/proptest) carry upstream doc warnings we do not
 # own and must not gate on.

@@ -19,10 +19,9 @@
 
 use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
-use pim_sched::pipeline::{schedule_cached, schedule_uncached};
 use pim_sched::{
-    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, schedule, schedule_parallel, CostCache,
-    MemoryPolicy, Method, Run, SchedContext, Workspace,
+    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, CostCache, MemoryPolicy, Method, Run,
+    SchedContext, Schedule, Workspace,
 };
 use pim_trace::flat::FlatTrace;
 use pim_trace::window::{WindowRefs, WindowedTrace};
@@ -70,6 +69,21 @@ fn policies(trace: &WindowedTrace) -> [MemoryPolicy; 3] {
     ]
 }
 
+/// Unbounded schedule of `trace` from a prebuilt cache, run through a
+/// caller-owned workspace that keeps whatever state the run leaves in it.
+fn schedule_through<'t>(
+    method: Method,
+    trace: &'t WindowedTrace,
+    cache: &CostCache<'t>,
+    ws: &mut Workspace,
+) -> Schedule {
+    let mut ctx = SchedContext::with_cache(trace, MemoryPolicy::Unbounded, cache.clone());
+    std::mem::swap(ctx.workspace(), ws);
+    let sched = method.scheduler().schedule(&mut ctx, trace).unwrap();
+    std::mem::swap(ctx.workspace(), ws);
+    sched
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -80,8 +94,9 @@ proptest! {
     fn cached_schedules_bit_identical_to_uncached(trace in arb_trace()) {
         for method in Method::ALL {
             for policy in policies(&trace) {
-                let cached = schedule(method, &trace, policy);
-                let reference = schedule_uncached(method, &trace, policy);
+                let cached = Run::new(&trace).policy(policy).run_method(method).unwrap();
+                let mut uncached = Run::new(&trace).policy(policy).cached(false);
+                let reference = uncached.run_method(method).unwrap();
                 prop_assert_eq!(
                     &cached, &reference,
                     "{} under {:?} diverged from reference", method, policy
@@ -100,10 +115,10 @@ proptest! {
         let cache_b = CostCache::build(&b);
         for method in Method::ALL {
             // warm (and dirty) the workspace on trace `a`...
-            let _ = schedule_cached(method, &a, MemoryPolicy::Unbounded, &cache_a, &mut ws);
+            let _ = schedule_through(method, &a, &cache_a, &mut ws);
             // ...then `b` through the dirty workspace must match a cold run
-            let warm = schedule_cached(method, &b, MemoryPolicy::Unbounded, &cache_b, &mut ws);
-            let cold = schedule(method, &b, MemoryPolicy::Unbounded);
+            let warm = schedule_through(method, &b, &cache_b, &mut ws);
+            let cold = Run::new(&b).run_method(method).unwrap();
             prop_assert_eq!(&warm, &cold, "{} leaked workspace state", method);
         }
     }
@@ -113,14 +128,15 @@ proptest! {
     #[test]
     fn persistent_pool_matches_serial(trace in arb_trace(), threads in 2usize..=8) {
         for method in Method::ALL {
-            let serial = schedule_parallel(method, &trace, Pool::serial());
-            let parallel = schedule_parallel(method, &trace, Pool::with_threads(threads));
+            let serial = Run::new(&trace).parallel(Pool::serial()).run_method(method).unwrap();
+            let pool = Pool::with_threads(threads);
+            let parallel = Run::new(&trace).parallel(pool).run_method(method).unwrap();
             prop_assert_eq!(
                 &serial, &parallel,
                 "{} with {} threads diverged from serial", method, threads
             );
             // and the parallel (unconstrained) path agrees with `schedule`
-            let seq = schedule(method, &trace, MemoryPolicy::Unbounded);
+            let seq = Run::new(&trace).run_method(method).unwrap();
             prop_assert_eq!(&seq, &parallel, "{} parallel != sequential", method);
         }
     }
@@ -267,7 +283,7 @@ proptest! {
                 (Method::Lomcds, flat_lomcds),
                 (Method::Gomcds, flat_gomcds),
             ] {
-                let classic = schedule(method, &trace, policy);
+                let classic = Run::new(&trace).policy(policy).run_method(method).unwrap();
                 let fast = fast(&flat, policy, pool)
                     .unwrap_or_else(|e| panic!("{method} {policy:?}: {e}"));
                 prop_assert_eq!(

@@ -6,7 +6,7 @@
 
 use pim_array::grid::Grid;
 use pim_par::Pool;
-use pim_sched::{schedule, MemoryPolicy, Method, Run, SchedError};
+use pim_sched::{compare_methods, MemoryPolicy, Method, Run, SchedError};
 use pim_workloads::{windowed, Benchmark};
 
 #[test]
@@ -18,7 +18,7 @@ fn occupancy_never_exceeds_capacity() {
             let policy = MemoryPolicy::ScaledMinimum { factor };
             let cap = policy.resolve(&trace).capacity_per_proc;
             for method in Method::ALL {
-                let s = schedule(method, &trace, policy);
+                let s = Run::new(&trace).policy(policy).run_method(method).unwrap();
                 assert!(
                     s.max_occupancy() <= cap,
                     "{bench}/{method} factor {factor}: occupancy {} > cap {cap}",
@@ -38,7 +38,7 @@ fn tightest_memory_forces_perfect_balance() {
     let policy = MemoryPolicy::ScaledMinimum { factor: 1 };
     assert_eq!(policy.resolve(&trace).capacity_per_proc, 4);
     for method in [Method::Scds, Method::Lomcds, Method::Gomcds] {
-        let s = schedule(method, &trace, policy);
+        let s = Run::new(&trace).policy(policy).run_method(method).unwrap();
         for (w, occ) in s.occupancy().iter().enumerate() {
             assert!(
                 occ.iter().all(|&n| n == 4),
@@ -53,20 +53,20 @@ fn looser_memory_never_hurts() {
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::MatMulCode, grid, 8, 2, 1998);
     for method in [Method::Scds, Method::Lomcds, Method::Gomcds] {
+        let total = |policy| {
+            let s = Run::new(&trace).policy(policy).run_method(method).unwrap();
+            s.evaluate(&trace).total()
+        };
         let mut prev = u64::MAX;
         for factor in [1u32, 2, 4] {
-            let cost = schedule(method, &trace, MemoryPolicy::ScaledMinimum { factor })
-                .evaluate(&trace)
-                .total();
+            let cost = total(MemoryPolicy::ScaledMinimum { factor });
             assert!(
                 cost <= prev,
                 "{method}: cost rose from {prev} to {cost} when memory loosened to {factor}x"
             );
             prev = cost;
         }
-        let unbounded = schedule(method, &trace, MemoryPolicy::Unbounded)
-            .evaluate(&trace)
-            .total();
+        let unbounded = total(MemoryPolicy::Unbounded);
         assert!(
             unbounded <= prev,
             "{method}: unbounded {unbounded} > 4x {prev}"
@@ -77,11 +77,11 @@ fn looser_memory_never_hurts() {
 #[test]
 #[should_panic(expected = "cannot hold")]
 fn infeasible_policy_panics_with_clear_message() {
-    // The legacy `schedule` shim keeps the seed's panicking contract; the
+    // `compare_methods` keeps the seed's panicking contract; the
     // typed-error path is pinned by the exhaustion matrix below.
     let grid = Grid::new(2, 2);
     let (trace, _) = windowed(Benchmark::Lu, grid, 8, 2, 0); // 64 data, 4 procs
-    let _ = schedule(Method::Gomcds, &trace, MemoryPolicy::Capacity(2)); // 8 slots < 64
+    let _ = compare_methods(&trace, MemoryPolicy::Capacity(2)); // 8 slots < 64
 }
 
 /// Capacity exhaustion is a *typed error*, never a panic: on a grid whose

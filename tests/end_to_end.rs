@@ -4,11 +4,20 @@
 
 use pim_array::grid::Grid;
 use pim_array::layout::Layout;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run, Schedule};
 use pim_trace::validate::validate_windowed;
+use pim_trace::window::WindowedTrace;
 use pim_workloads::{windowed, Benchmark};
 
 const MEMORY: MemoryPolicy = MemoryPolicy::ScaledMinimum { factor: 2 };
+
+/// GOMCDS under the paper's memory rule.
+fn gomcds(trace: &WindowedTrace) -> Schedule {
+    Run::new(trace)
+        .policy(MEMORY)
+        .run_method(Method::Gomcds)
+        .unwrap()
+}
 
 #[test]
 fn every_benchmark_schedules_under_every_method() {
@@ -21,7 +30,7 @@ fn every_benchmark_schedules_under_every_method() {
             .evaluate(&trace)
             .total();
         for method in Method::ALL {
-            let s = schedule(method, &trace, MEMORY);
+            let s = Run::new(&trace).policy(MEMORY).run_method(method).unwrap();
             assert_eq!(s.num_data(), trace.num_data(), "{bench} {method}");
             assert_eq!(s.num_windows(), trace.num_windows(), "{bench} {method}");
             let cost = s.evaluate(&trace);
@@ -38,9 +47,10 @@ fn every_benchmark_schedules_under_every_method() {
 fn multiple_center_methods_actually_move_data() {
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::CodeReverse, grid, 16, 2, 1998);
-    let scds = schedule(Method::Scds, &trace, MEMORY);
+    let mut run = Run::new(&trace).policy(MEMORY);
+    let scds = run.run_method(Method::Scds).unwrap();
     assert!(!scds.has_movement(), "SCDS never moves");
-    let gomcds = schedule(Method::Gomcds, &trace, MEMORY);
+    let gomcds = run.run_method(Method::Gomcds).unwrap();
     assert!(
         gomcds.has_movement(),
         "GOMCDS should exploit movement on the drifting CODE benchmark"
@@ -54,9 +64,7 @@ fn costs_are_deterministic_across_runs() {
         let (t1, _) = windowed(Benchmark::MatMulCode, grid, 8, 2, 7);
         let (t2, _) = windowed(Benchmark::MatMulCode, grid, 8, 2, 7);
         assert_eq!(t1, t2);
-        let s1 = schedule(Method::Gomcds, &t1, MEMORY);
-        let s2 = schedule(Method::Gomcds, &t2, MEMORY);
-        assert_eq!(s1, s2);
+        assert_eq!(gomcds(&t1), gomcds(&t2));
     }
 }
 
@@ -65,16 +73,16 @@ fn larger_windows_never_break_scheduling() {
     let grid = Grid::new(4, 4);
     for steps in [1usize, 3, 10, 1000] {
         let (trace, _) = windowed(Benchmark::Lu, grid, 8, steps, 0);
-        let s = schedule(Method::Gomcds, &trace, MEMORY);
-        let cost = s.evaluate(&trace).total();
+        let cost = gomcds(&trace).evaluate(&trace).total();
         assert!(cost > 0, "steps={steps}");
     }
     // one giant window: GOMCDS degenerates to SCDS
     let (trace, _) = windowed(Benchmark::Lu, grid, 8, 1000, 0);
     assert_eq!(trace.num_windows(), 1);
+    let mut run = Run::new(&trace).policy(MEMORY);
     assert_eq!(
-        schedule(Method::Gomcds, &trace, MEMORY),
-        schedule(Method::Scds, &trace, MEMORY)
+        run.run_method(Method::Gomcds).unwrap(),
+        run.run_method(Method::Scds).unwrap()
     );
 }
 
@@ -87,9 +95,7 @@ fn non_square_grids_work() {
             .straightforward(&trace, Layout::RowWise)
             .evaluate(&trace)
             .total();
-        let go = schedule(Method::Gomcds, &trace, MEMORY)
-            .evaluate(&trace)
-            .total();
+        let go = gomcds(&trace).evaluate(&trace).total();
         assert!(go <= sf, "{w}x{h}: {go} > {sf}");
     }
 }
@@ -104,9 +110,7 @@ fn extra_benchmarks_round_trip() {
             .straightforward(&trace, Layout::RowWise)
             .evaluate(&trace)
             .total();
-        let go = schedule(Method::Gomcds, &trace, MEMORY)
-            .evaluate(&trace)
-            .total();
+        let go = gomcds(&trace).evaluate(&trace).total();
         assert!(go <= sf, "{bench}");
     }
 }

@@ -10,7 +10,7 @@ use pim_sched::gomcds::{gomcds_path, Solver};
 use pim_sched::online::{online_schedule, OnlinePolicy};
 use pim_sched::refine::refine;
 use pim_sched::replicate::replicated_schedule;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_trace::ids::DataId;
 use pim_workloads::{windowed, Benchmark};
 use proptest::prelude::*;
@@ -38,7 +38,7 @@ fn refinement_cannot_improve_gomcds_on_benchmarks() {
     for bench in [Benchmark::Lu, Benchmark::CodeReverse] {
         let (trace, _) = windowed(bench, grid, 8, 2, 1998);
         let spec = MemorySpec::unbounded();
-        let mut s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
+        let mut s = Run::new(&trace).run_method(Method::Gomcds).unwrap();
         let stats = refine(&trace, &mut s, spec, 50);
         assert_eq!(stats.moves_applied, 0, "{bench}");
     }
@@ -64,9 +64,8 @@ fn replication_gains_are_real_and_bounded() {
     for bench in Benchmark::paper_set() {
         let (trace, _) = windowed(bench, grid, 8, 2, 1998);
         let spec = MemorySpec::unbounded();
-        let single = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
-            .evaluate(&trace)
-            .total();
+        let single = Run::new(&trace).run_method(Method::Gomcds).unwrap();
+        let single = single.evaluate(&trace).total();
         let repl = replicated_schedule(&trace, spec);
         let dual = repl.evaluate(&trace).total();
         assert!(dual <= single, "{bench}: 2-copy worse than 1-copy");
@@ -106,9 +105,8 @@ fn online_is_sandwiched_between_offline_and_static() {
     let grid = Grid::new(4, 4);
     for bench in Benchmark::paper_set() {
         let (trace, _) = windowed(bench, grid, 8, 2, 1998);
-        let offline = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
-            .evaluate(&trace)
-            .total();
+        let offline = Run::new(&trace).run_method(Method::Gomcds).unwrap();
+        let offline = offline.evaluate(&trace).total();
         let online = online_schedule(&trace, OnlinePolicy::eager(MemorySpec::unbounded()))
             .unwrap()
             .evaluate(&trace)
@@ -123,7 +121,7 @@ fn cycle_sim_consistent_with_bounds_on_benchmarks() {
     use pim_sim::engine::window_messages;
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::Lu, grid, 8, 2, 0);
-    let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
+    let s = Run::new(&trace).run_method(Method::Gomcds).unwrap();
     for w in 0..trace.num_windows() {
         let msgs = window_messages(&trace, &s, w);
         let bound = pim_sim::contention::window_completion_time(&grid, &msgs);

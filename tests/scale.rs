@@ -7,7 +7,7 @@
 use pim_array::grid::Grid;
 use pim_array::layout::Layout;
 use pim_par::Pool;
-use pim_sched::{schedule, schedule_parallel, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_workloads::{windowed, Benchmark};
 
 #[test]
@@ -22,7 +22,8 @@ fn big_lu_end_to_end() {
         .evaluate(&trace)
         .total();
     let policy = MemoryPolicy::ScaledMinimum { factor: 2 };
-    let go = schedule(Method::Gomcds, &trace, policy);
+    let mut run = Run::new(&trace).policy(policy);
+    let go = run.run_method(Method::Gomcds).unwrap();
     let cost = go.evaluate(&trace).total();
     assert!(cost < sf, "GOMCDS {cost} must beat S.F. {sf} at scale");
     assert!(go.max_occupancy() <= policy.resolve(&trace).capacity_per_proc);
@@ -36,20 +37,19 @@ fn big_lu_end_to_end() {
 fn big_parallel_matches_sequential() {
     let grid = Grid::new(8, 8);
     let (trace, _) = windowed(Benchmark::MatMul, grid, 24, 2, 0);
-    let seq = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
-    let par = schedule_parallel(Method::Gomcds, &trace, Pool::auto());
-    assert_eq!(seq, par);
+    let seq = Run::new(&trace).run_method(Method::Gomcds).unwrap();
+    let mut par = Run::new(&trace).parallel(Pool::auto());
+    assert_eq!(seq, par.run_method(Method::Gomcds).unwrap());
 }
 
 #[test]
 fn big_simulation_agrees_with_analytic() {
     let grid = Grid::new(8, 8);
     let (trace, _) = windowed(Benchmark::MatMulCode, grid, 24, 2, 1998);
-    let s = schedule(
-        Method::Lomcds,
-        &trace,
-        MemoryPolicy::ScaledMinimum { factor: 2 },
-    );
+    let s = Run::new(&trace)
+        .policy(MemoryPolicy::ScaledMinimum { factor: 2 })
+        .run_method(Method::Lomcds)
+        .unwrap();
     let report = pim_sim::simulate(&trace, &s, Pool::auto());
     assert_eq!(report.total_hop_volume(), s.evaluate(&trace).total());
 }
@@ -89,12 +89,9 @@ fn big_grouping_pipeline_is_sound() {
     let grid = Grid::new(8, 8);
     let (trace, _) = windowed(Benchmark::CodeReverse, grid, 24, 1, 1998);
     let policy = MemoryPolicy::ScaledMinimum { factor: 2 };
-    let plain = schedule(Method::Lomcds, &trace, policy)
-        .evaluate(&trace)
-        .total();
-    let grouped = schedule(Method::GroupedLocal, &trace, policy)
-        .evaluate(&trace)
-        .total();
+    let mut run = Run::new(&trace).policy(policy);
+    let mut total = |m| run.run_method(m).unwrap().evaluate(&trace).total();
+    let (plain, grouped) = (total(Method::Lomcds), total(Method::GroupedLocal));
     // the finest windows make per-window movement expensive; grouping
     // should recover a meaningful share
     assert!(

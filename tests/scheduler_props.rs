@@ -5,7 +5,7 @@ use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
 use pim_sched::cost::{cost_at, cost_table, cost_table_naive, optimal_center};
 use pim_sched::median::median_center;
-use pim_sched::{schedule, schedule_parallel, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_trace::window::{WindowRefs, WindowedTrace};
 use proptest::prelude::*;
 
@@ -37,19 +37,20 @@ proptest! {
 
     #[test]
     fn gomcds_never_worse_unbounded(trace in arb_trace()) {
-        let go = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
-            .evaluate(&trace).total();
+        let mut run = Run::new(&trace);
+        let mut total = |m| run.run_method(m).unwrap().evaluate(&trace).total();
+        let go = total(Method::Gomcds);
         for other in [Method::Scds, Method::Lomcds, Method::GroupedLocal, Method::GroupedGomcds] {
-            let cost = schedule(other, &trace, MemoryPolicy::Unbounded)
-                .evaluate(&trace).total();
+            let cost = total(other);
             prop_assert!(go <= cost, "GOMCDS {go} > {other} {cost}");
         }
     }
 
     #[test]
     fn naive_and_dt_gomcds_agree(trace in arb_trace()) {
-        let a = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
-        let b = schedule(Method::GomcdsNaive, &trace, MemoryPolicy::Unbounded);
+        let mut run = Run::new(&trace);
+        let a = run.run_method(Method::Gomcds).unwrap();
+        let b = run.run_method(Method::GomcdsNaive).unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -57,16 +58,18 @@ proptest! {
     fn naive_and_dt_agree_under_capacity(trace in arb_trace()) {
         // capacity: enough room overall, tight per processor
         let cap = (trace.num_data() as u32).div_ceil(trace.grid().num_procs() as u32) + 1;
-        let a = schedule(Method::Gomcds, &trace, MemoryPolicy::Capacity(cap));
-        let b = schedule(Method::GomcdsNaive, &trace, MemoryPolicy::Capacity(cap));
+        let mut run = Run::new(&trace).policy(MemoryPolicy::Capacity(cap));
+        let a = run.run_method(Method::Gomcds).unwrap();
+        let b = run.run_method(Method::GomcdsNaive).unwrap();
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_equals_sequential(trace in arb_trace()) {
         for method in [Method::Scds, Method::Lomcds, Method::Gomcds, Method::GroupedLocal] {
-            let seq = schedule(method, &trace, MemoryPolicy::Unbounded);
-            let par = schedule_parallel(method, &trace, Pool::with_threads(4));
+            let seq = Run::new(&trace).run_method(method).unwrap();
+            let pool = Pool::with_threads(4);
+            let par = Run::new(&trace).parallel(pool).run_method(method).unwrap();
             prop_assert_eq!(seq, par, "method {}", method);
         }
     }
@@ -76,11 +79,9 @@ proptest! {
         // SCDS cost equals the optimum of the collapsed (single-window)
         // problem, which is GOMCDS on the collapsed trace.
         let collapsed = trace.collapsed();
-        let scds = schedule(Method::Scds, &trace, MemoryPolicy::Unbounded)
-            .evaluate(&trace).total();
-        let collapsed_opt = schedule(Method::Gomcds, &collapsed, MemoryPolicy::Unbounded)
-            .evaluate(&collapsed).total();
-        prop_assert_eq!(scds, collapsed_opt);
+        let scds = Run::new(&trace).run_method(Method::Scds).unwrap();
+        let opt = Run::new(&collapsed).run_method(Method::Gomcds).unwrap();
+        prop_assert_eq!(scds.evaluate(&trace).total(), opt.evaluate(&collapsed).total());
     }
 
     #[test]
@@ -110,7 +111,7 @@ proptest! {
 
     #[test]
     fn evaluate_is_additive_over_data(trace in arb_trace()) {
-        let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
+        let s = Run::new(&trace).run_method(Method::Lomcds).unwrap();
         let total = s.evaluate(&trace);
         let mut sum = pim_sched::CostBreakdown::default();
         for d in 0..trace.num_data() {
@@ -121,7 +122,7 @@ proptest! {
 
     #[test]
     fn simulator_always_matches_analytic(trace in arb_trace()) {
-        let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
+        let s = Run::new(&trace).run_method(Method::Gomcds).unwrap();
         let report = pim_sim::simulate(&trace, &s, Pool::serial());
         prop_assert_eq!(report.total_hop_volume(), s.evaluate(&trace).total());
     }

@@ -4,7 +4,7 @@
 
 use pim_array::grid::Grid;
 use pim_par::Pool;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method, Run};
 use pim_sim::simulate;
 use pim_workloads::{windowed, Benchmark};
 
@@ -20,7 +20,7 @@ fn simulated_hops_equal_analytic_cost_everywhere() {
             Method::Gomcds,
             Method::GroupedLocal,
         ] {
-            let s = schedule(method, &trace, memory);
+            let s = Run::new(&trace).policy(memory).run_method(method).unwrap();
             let analytic = s.evaluate(&trace);
             let report = simulate(&trace, &s, Pool::serial());
             assert_eq!(
@@ -41,7 +41,7 @@ fn simulated_hops_equal_analytic_cost_everywhere() {
 fn parallel_simulation_matches_serial() {
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::MatMulCode, grid, 16, 2, 1998);
-    let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
+    let s = Run::new(&trace).run_method(Method::Gomcds).unwrap();
     let serial = simulate(&trace, &s, Pool::serial());
     for threads in [2, 4, 8] {
         let par = simulate(&trace, &s, Pool::with_threads(threads));
@@ -54,11 +54,8 @@ fn better_schedules_relieve_the_network_too() {
     let grid = Grid::new(4, 4);
     let (trace, space) = windowed(Benchmark::MatMulCode, grid, 16, 2, 1998);
     let baseline = space.straightforward(&trace, pim_array::layout::Layout::RowWise);
-    let gomcds = schedule(
-        Method::Gomcds,
-        &trace,
-        MemoryPolicy::ScaledMinimum { factor: 2 },
-    );
+    let mut run = Run::new(&trace).policy(MemoryPolicy::ScaledMinimum { factor: 2 });
+    let gomcds = run.run_method(Method::Gomcds).unwrap();
 
     let r_base = simulate(&trace, &baseline, Pool::auto());
     let r_go = simulate(&trace, &gomcds, Pool::auto());
@@ -77,7 +74,7 @@ fn better_schedules_relieve_the_network_too() {
 fn window_stats_sum_to_totals() {
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::Lu, grid, 8, 2, 0);
-    let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
+    let s = Run::new(&trace).run_method(Method::Lomcds).unwrap();
     let report = simulate(&trace, &s, Pool::auto());
     assert_eq!(report.windows().len(), trace.num_windows());
     let sum: u64 = report.windows().iter().map(|w| w.total_hop_volume()).sum();

@@ -8,7 +8,7 @@ use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::MemorySpec;
 use pim_sched::gomcds::{gomcds_path_weighted, gomcds_schedule_volumes, Solver};
 use pim_sched::kcopy::kcopy_schedule;
-use pim_sched::{schedule, MemoryPolicy, Method, Schedule};
+use pim_sched::{Method, Run, Schedule};
 use pim_trace::ids::DataId;
 use pim_trace::window::{WindowRefs, WindowedTrace};
 use proptest::prelude::*;
@@ -72,7 +72,7 @@ proptest! {
         let go = weighted_gomcds(&trace, weight);
         let go_cost = go.evaluate_weighted(&trace, weight).total();
         for other in [Method::Scds, Method::Lomcds, Method::Gomcds] {
-            let s = schedule(other, &trace, MemoryPolicy::Unbounded);
+            let s = Run::new(&trace).run_method(other).unwrap();
             let cost = s.evaluate_weighted(&trace, weight).total();
             prop_assert!(go_cost <= cost, "weight {weight}: {go_cost} > {other} {cost}");
         }
@@ -122,7 +122,7 @@ proptest! {
     fn volumes_eval_decomposes(trace in arb_trace(), seed in 0u64..1000) {
         let nd = trace.num_data();
         let volumes: Vec<u64> = (0..nd as u64).map(|d| (seed + d) % 7 + 1).collect();
-        let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
+        let s = Run::new(&trace).run_method(Method::Lomcds).unwrap();
         let whole = s.evaluate_volumes(&trace, &volumes);
         let mut acc = pim_sched::CostBreakdown::default();
         for d in 0..nd {
@@ -141,7 +141,7 @@ proptest! {
         let tuned = gomcds_schedule_volumes(&trace, &volumes)
             .evaluate_volumes(&trace, &volumes)
             .total();
-        let unit = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
+        let unit = Run::new(&trace).run_method(Method::Gomcds).unwrap()
             .evaluate_volumes(&trace, &volumes)
             .total();
         prop_assert!(tuned <= unit, "{tuned} > {unit}");
@@ -158,7 +158,7 @@ proptest! {
         }
         // k = 1 must equal plain GOMCDS
         let k1 = kcopy_schedule(&trace, spec, 1).evaluate(&trace).total();
-        let go = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
+        let go = Run::new(&trace).run_method(Method::Gomcds).unwrap()
             .evaluate(&trace)
             .total();
         prop_assert_eq!(k1, go);

@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_array::grid::Grid;
-use pim_sched::gomcds::{gomcds_schedule_with, Solver};
-use pim_sched::MemoryPolicy;
+use pim_sched::Run;
 use pim_workloads::{windowed, Benchmark};
 use std::hint::black_box;
 
@@ -15,19 +14,11 @@ fn bench_solvers(c: &mut Criterion) {
     for dim in [4u32, 8, 16] {
         let grid = Grid::new(dim, dim);
         let (trace, _) = windowed(Benchmark::MatMul, grid, 16, 2, 1998);
-        let spec = MemoryPolicy::Unbounded.resolve(&trace);
-        group.bench_with_input(BenchmarkId::new("naive", dim), &trace, |b, trace| {
-            b.iter(|| black_box(gomcds_schedule_with(black_box(trace), spec, Solver::Naive)))
-        });
-        group.bench_with_input(BenchmarkId::new("dt", dim), &trace, |b, trace| {
-            b.iter(|| {
-                black_box(gomcds_schedule_with(
-                    black_box(trace),
-                    spec,
-                    Solver::DistanceTransform,
-                ))
-            })
-        });
+        for (id, name) in [("naive", "GOMCDS-naive"), ("dt", "GOMCDS")] {
+            group.bench_with_input(BenchmarkId::new(id, dim), &trace, |b, trace| {
+                b.iter(|| black_box(Run::new(black_box(trace)).run_named(name).unwrap()))
+            });
+        }
     }
     group.finish();
 }

@@ -12,7 +12,7 @@ use pim_array::layout::Layout;
 use pim_array::memory::MemorySpec;
 use pim_bench::experiments::{paper_config, run_table};
 use pim_bench::table::{self, pct, Cell, Table};
-use pim_sched::gomcds::{gomcds_schedule_with, Solver};
+use pim_sched::gomcds::Solver;
 use pim_sched::schedule::improvement_pct;
 use pim_sched::{registry, MemoryPolicy, Method, Run, Schedule};
 use pim_trace::ids::DataId;
@@ -540,9 +540,9 @@ fn ablation_solver(csv: bool) {
     // 1. bit-identical results on the paper set (reported in text mode)
     for bench in Benchmark::paper_set() {
         let (trace, _) = trace16(bench);
-        let spec = memory.resolve(&trace);
-        let a = gomcds_schedule_with(&trace, spec, Solver::Naive);
-        let b = gomcds_schedule_with(&trace, spec, Solver::DistanceTransform);
+        let mut run = Run::new(&trace).policy(memory);
+        let a = run.run_named("GOMCDS-naive").unwrap();
+        let b = run.run_named("GOMCDS").unwrap();
         assert_eq!(a, b, "solver divergence on benchmark {}", bench.label());
         let cost = a.evaluate(&trace).total();
         title += &format!(
@@ -560,14 +560,13 @@ fn ablation_solver(csv: bool) {
     );
     for dim in [4u32, 8, 16, 24] {
         let (trace, _) = windowed(Benchmark::MatMul, Grid::new(dim, dim), N, 2, SEED);
-        let spec = MemoryPolicy::Unbounded.resolve(&trace);
-        let timed = |solver| {
+        let timed = |name| {
             let t0 = Instant::now();
-            let s = gomcds_schedule_with(&trace, spec, solver);
+            let s = Run::new(&trace).run_named(name).unwrap();
             (s, t0.elapsed())
         };
-        let (a, naive) = timed(Solver::Naive);
-        let (b, dt) = timed(Solver::DistanceTransform);
+        let (a, naive) = timed("GOMCDS-naive");
+        let (b, dt) = timed("GOMCDS");
         assert_eq!(a, b);
         let speedup = naive.as_secs_f64() / dt.as_secs_f64().max(1e-9);
         let grid = format!("{dim}x{dim}");

@@ -173,7 +173,7 @@ impl LoadStats {
 /// Child phase: write the same instance in both formats under `dir`, then
 /// time a full load of each (best of `reps`, see [`crate::timing`]). The
 /// binary side is [`pim_trace::BinTrace::open`] — the memory-mapped
-/// zero-copy path `pim-cli run --bin` and the serve `path` load take —
+/// zero-copy path `pim-cli run --flat --trace` and the serve `path` load take —
 /// which validates the checksum and every CSR invariant and ends in a
 /// trace the flat schedulers consume directly through `FlatView`. The
 /// text side is the full parse into an owned [`FlatTrace`].

@@ -79,13 +79,13 @@ pub struct ParsedArgs {
     /// Write a JSON run report (analytic cost + routed traffic +
     /// scheduler metrics) to this path (`run`/`compare` only).
     pub metrics_out: Option<String>,
-    /// `run` only: convert the trace to the flat SoA layout and use the
-    /// big-instance fast path (SCDS/LOMCDS/GOMCDS only).
+    /// `run` only: use the big-instance flat fast path (SCDS/LOMCDS/GOMCDS
+    /// only). With `--trace`, the `.pimb` file is memory-mapped and
+    /// scheduled zero-copy; otherwise the generated trace is converted to
+    /// the flat layout.
     pub flat: bool,
-    /// `run`: `--trace` is a `.pimb` binary file, memory-mapped and
-    /// scheduled zero-copy through the flat fast path. `scale`: pack the
-    /// synthetic instance to a temporary `.pimb` and schedule it through
-    /// the out-of-core streaming pipeline.
+    /// `scale` only: pack the synthetic instance to a temporary `.pimb`
+    /// and schedule it through the out-of-core streaming pipeline.
     pub bin: bool,
     /// Task DAG source: a JSON file path, or the literal `natural` for
     /// the benchmark's analytically known dependence chain (`run`: gate
@@ -339,16 +339,19 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, ParseError> {
             "--flat is only supported by `run` (use `scale` for synthetic instances)".to_string(),
         );
     }
-    if out.bin {
-        if !matches!(out.command, Command::Run | Command::Scale) {
-            return Err("--bin is only supported by `run` and `scale`".to_string());
-        }
-        if out.flat {
-            return Err("--bin already takes the flat fast path; drop --flat".to_string());
-        }
-        if out.command == Command::Run && out.trace_file.is_none() {
-            return Err("run --bin needs --trace FILE.pimb".to_string());
-        }
+    if out.bin && out.command != Command::Scale {
+        return Err(
+            "--bin is only supported by `scale` (run schedules a .pimb zero-copy with \
+             --flat --trace FILE.pimb)"
+                .to_string(),
+        );
+    }
+    if out.flat && out.trace_file.is_some() && out.metrics_out.is_some() {
+        return Err(
+            "--metrics cannot be combined with --flat --trace (the mapped fast path \
+             builds no nested trace to simulate)"
+                .to_string(),
+        );
     }
     if out.command == Command::Pack && out.out.is_none() {
         return Err("pack needs --out FILE.pimb".to_string());
@@ -386,8 +389,8 @@ pub fn usage() -> String {
      [--memory unbounded|Nx|CAP] [--seed S] [--out FILE] [--trace FILE] \
      [--threads N (0 = sequential)] \
      [--metrics FILE (run/compare: write a JSON run report)] \
-     [--flat (run: SoA fast path for scds/lomcds/gomcds)] \
-     [--bin (run: --trace is a memory-mapped .pimb; scale: stream out-of-core)] \
+     [--flat (run: SoA fast path for scds/lomcds/gomcds; a --trace .pimb is memory-mapped)] \
+     [--bin (scale: stream out-of-core)] \
      [--dag FILE|natural (run: precedence-gated simulation; export: write the DAG)] \
      [--data N] [--windows N (scale/pack: synthetic instance shape)] \
      [--stdin|--socket PATH|--tcp ADDR (serve: transport, default stdin)] \
@@ -605,10 +608,10 @@ mod tests {
         assert_eq!(a.command, Command::Unpack);
 
         let a = parse(&v(&[
-            "run", "--bin", "--trace", "t.pimb", "--method", "scds",
+            "run", "--flat", "--trace", "t.pimb", "--method", "scds",
         ]))
         .unwrap();
-        assert!(a.bin && !a.flat);
+        assert!(a.flat && !a.bin);
         let a = parse(&v(&["scale", "--bin", "--data", "5000"])).unwrap();
         assert!(a.bin);
 
@@ -618,10 +621,21 @@ mod tests {
         assert!(err.contains("--out"), "{err}");
         let err = parse(&v(&["compare", "--bin"])).unwrap_err();
         assert!(err.contains("--bin"), "{err}");
-        let err = parse(&v(&["run", "--bin"])).unwrap_err();
-        assert!(err.contains("--trace"), "{err}");
-        let err = parse(&v(&["run", "--bin", "--flat", "--trace", "t.pimb"])).unwrap_err();
-        assert!(err.contains("--flat"), "{err}");
+        let err = parse(&v(&["run", "--bin", "--trace", "t.pimb"])).unwrap_err();
+        assert!(
+            err.contains("--bin") && err.contains("--flat --trace"),
+            "{err}"
+        );
+        let err = parse(&v(&[
+            "run",
+            "--flat",
+            "--trace",
+            "t.pimb",
+            "--metrics",
+            "m.json",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--metrics"), "{err}");
     }
 
     #[test]

@@ -30,8 +30,8 @@ fn main() -> ExitCode {
     if parsed.command == Command::Unpack {
         return run_unpack(&parsed);
     }
-    if parsed.command == Command::Run && parsed.bin {
-        return run_bin(&parsed);
+    if parsed.command == Command::Run && parsed.flat && parsed.trace_file.is_some() {
+        return run_mapped(&parsed);
     }
     if parsed.command == Command::ListMethods {
         println!("registered scheduling methods:");
@@ -377,7 +377,8 @@ fn main() -> ExitCode {
                 );
             } else {
                 // The trace goes out as the flat binary container
-                // (zero-copy loadable via `run --bin` / `serve` `path`).
+                // (zero-copy loadable via `run --flat --trace` / `serve`
+                // `path`).
                 let flat = pim_trace::flat::FlatTrace::from_trace(&trace);
                 match pim_trace::binfmt::pack_file(&flat, path) {
                     Ok(bytes) => println!(
@@ -495,7 +496,8 @@ fn load_dag(
 
 /// Dispatch a method name to its flat SoA fast path. Generic over
 /// [`pim_trace::flat::FlatView`] so the same dispatch serves owned traces
-/// (`--flat`) and memory-mapped `.pimb` files (`--bin`).
+/// (`run --flat`, `scale`) and memory-mapped `.pimb` files
+/// (`run --flat --trace`).
 fn flat_schedule<V: pim_trace::flat::FlatView + ?Sized>(
     method: &str,
     flat: &V,
@@ -512,21 +514,24 @@ fn flat_schedule<V: pim_trace::flat::FlatView + ?Sized>(
     }
 }
 
-/// The `run --bin` path: memory-map a `.pimb` binary trace and drive the
-/// flat fast path zero-copy off the mapped view.
-fn run_bin(parsed: &pim_cli::args::ParsedArgs) -> ExitCode {
+/// The `run --flat --trace` path: memory-map a `.pimb` binary trace and
+/// drive the flat fast path zero-copy off the mapped view.
+fn run_mapped(parsed: &pim_cli::args::ParsedArgs) -> ExitCode {
+    use pim_trace::flat::FlatView as _;
     use std::time::Instant;
-    let path = parsed.trace_file.as_deref().expect("validated by args");
+    let path = parsed.trace_file.as_deref().expect("checked by the caller");
     let start = Instant::now();
-    let bt = match pim_trace::BinTrace::open(path) {
+    let opened = pim_trace::BinTrace::open(path)
+        .map_err(|e| e.to_string())
+        .and_then(|bt| bt.check_density().map(|()| bt).map_err(|e| e.to_string()));
+    let bt = match opened {
         Ok(bt) => bt,
         Err(e) => {
-            eprintln!("cannot open {path}: {e}");
+            eprintln!("cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
     let load = start.elapsed();
-    use pim_trace::flat::FlatView as _;
     println!(
         "{}: {} data x {} windows on {}, {} reference runs{}, opened in {:.1} ms",
         path,

@@ -92,6 +92,10 @@ fn export_then_reload_roundtrip() {
     assert!(ok, "{stderr}");
     assert!(reloaded.contains("loaded trace from"));
     assert_eq!(scds_total(&reloaded), scds_total(&generated));
+    // `--flat` schedules the same file zero-copy off the mapped view.
+    let (ok, mapped, stderr) = run(&["run", "--flat", "--trace", path, "--method", "scds"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(scds_total(&mapped), scds_total(&generated));
 }
 
 #[test]
@@ -117,13 +121,19 @@ fn huge_window_count_is_refused_not_allocated() {
     let mut bytes = std::fs::read(path).unwrap();
     bytes[16..24].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
     std::fs::write(path, bytes).unwrap();
-    // A typed refusal, not an allocation abort.
-    let (ok, _, stderr) = run(&["stats", "--trace", path]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("cannot read") && stderr.contains("too sparse"),
-        "{stderr}"
-    );
+    // A typed refusal, not an allocation abort: on the classic load and
+    // on the flat path that schedules the mapped file directly.
+    for args in [
+        &["stats", "--trace", path][..],
+        &["run", "--flat", "--trace", path, "--method", "lomcds"],
+    ] {
+        let (ok, _, stderr) = run(args);
+        assert!(!ok, "{args:?}");
+        assert!(
+            stderr.contains("cannot read") && stderr.contains("too sparse"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -52,7 +52,7 @@
 //!
 //! Laziness also parallelizes for free: [`DatumCostCache`] guards its
 //! tables with a [`OnceLock`], so when a worker pool partitions data
-//! across threads (see [`crate::context::SchedContext::parallel_pool`]),
+//! across threads (see [`crate::context::SchedContext::pool`]),
 //! each datum's tables are built on the worker that first needs them —
 //! the build runs on the pool without any coordination. [`CostCache::warm`]
 //! forces the same build eagerly across a pool when a caller wants the

@@ -3,25 +3,25 @@
 //! A [`SchedContext`] bundles everything a [`crate::registry::Scheduler`]
 //! needs beyond the trace itself: the grid view, the memory policy and its
 //! resolved [`MemorySpec`], the shared per-trace [`CostCache`], a reusable
-//! [`Workspace`], and an optional [`Pool`] for per-datum parallelism. The
-//! context — not the scheduler — decides the *execution mode*:
+//! [`Workspace`], and a [`Pool`] for per-datum work. The context — not the
+//! scheduler — decides the *execution mode*, one of two:
 //!
-//! * **cached** (the default): the context owns a [`CostCache`] and every
-//!   scheduler serves its cost tables from prefix sums;
+//! * **cached over a pool** (the default): the context owns a
+//!   [`CostCache`] and every scheduler serves its cost tables from it.
+//!   Each of SCDS, LOMCDS, GOMCDS and the grouped schedulers has one body:
+//!   phase 1 computes the pure, order-independent per-datum quantities
+//!   (medians, center paths, groupings) over the pool; phase 2 replays
+//!   capacity assignment sequentially in datum order, and is skipped when
+//!   memory is unbounded. Without an attached pool the context hands out
+//!   [`Pool::serial`], which runs phase 1 on the calling thread; any width
+//!   gives the same schedule bit for bit.
 //! * **uncached**: no cache is built and schedulers fall back to the
-//!   pre-cache reference implementations (the bit-identity oracles);
-//! * **parallel**: a [`Pool`] is attached; schedulers that support
-//!   per-datum parallelism use it under *every* memory policy. Without a
-//!   capacity constraint the whole schedule is computed in parallel (the
-//!   per-datum subproblems are independent). Under a bounded policy the
-//!   schedulers run a deterministic **two-phase** scheme: phase 1 computes
-//!   the pure, order-independent per-datum quantities (cost tables, center
-//!   paths, groupings) in parallel; phase 2 replays capacity assignment
-//!   sequentially in datum order, exactly as the sequential run would —
-//!   so the output is bit-identical regardless of thread count.
+//!   pre-cache reference implementations (the bit-identity oracles). They
+//!   ignore the pool.
 //!
-//! All modes are property-tested bit-identical for every registered
-//! scheduler × every memory policy in `tests/cache_equivalence.rs`.
+//! Both modes, at several pool widths, are property-tested bit-identical
+//! for every registered scheduler × every memory policy in
+//! `tests/cache_equivalence.rs`.
 
 use crate::cache::CostCache;
 use crate::pipeline::MemoryPolicy;
@@ -178,30 +178,18 @@ impl<'t> SchedContext<'t> {
         self.cache.as_ref()
     }
 
-    /// The attached pool, regardless of whether parallelism applies.
-    pub fn pool(&self) -> Option<Pool> {
-        self.pool
+    /// The pool per-datum work runs on: the attached one, else
+    /// [`Pool::serial`].
+    pub fn pool(&self) -> Pool {
+        self.pool.unwrap_or_else(Pool::serial)
     }
 
-    /// The pool to use for per-datum parallel scheduling, or `None` when
-    /// the run must stay sequential: parallelism applies whenever a pool is
-    /// attached and the cache is present (the parallel paths read from it).
-    /// Bounded policies parallelize too — schedulers split into a parallel
-    /// pure phase and a sequential capacity-replay phase (see the module
-    /// docs), so determinism never depends on thread count. Uncached runs
-    /// stay sequential: they exist to reproduce the seed implementations
-    /// verbatim.
-    pub fn parallel_pool(&self) -> Option<Pool> {
-        match (self.pool, &self.cache) {
-            (Some(pool), Some(_)) => Some(pool),
-            _ => None,
-        }
-    }
-
-    /// Split-borrow the cache (if cached) and the workspace — the shape
-    /// every `*_cached` scheduler entry point wants.
-    pub fn cache_and_ws(&mut self) -> (Option<&CostCache<'t>>, &mut Workspace) {
-        (self.cache.as_ref(), &mut self.ws)
+    /// Split-borrow what the cached scheduler bodies take — the cost
+    /// cache, the pool and the workspace; `None` for an uncached context.
+    pub fn cached_parts(&mut self) -> Option<(&CostCache<'t>, Pool, &mut Workspace)> {
+        let pool = self.pool();
+        let cache = self.cache.as_ref()?;
+        Some((cache, pool, &mut self.ws))
     }
 
     /// The reusable scratch workspace.
@@ -249,18 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pool_requires_pool_and_cache() {
+    fn pool_defaults_to_serial() {
         let t = trace();
-        let pool = Pool::serial();
-        let unbounded = SchedContext::new(&t, MemoryPolicy::Unbounded).with_pool(pool);
-        assert!(unbounded.parallel_pool().is_some());
-        // Bounded policies parallelize via the two-phase scheme.
-        let bounded = SchedContext::new(&t, MemoryPolicy::Capacity(2)).with_pool(pool);
-        assert!(bounded.parallel_pool().is_some());
-        // Uncached runs reproduce the seed implementations and stay serial.
-        let uncached = SchedContext::uncached(&t, MemoryPolicy::Unbounded).with_pool(pool);
-        assert!(uncached.parallel_pool().is_none());
-        let no_pool = SchedContext::new(&t, MemoryPolicy::Unbounded);
-        assert!(no_pool.parallel_pool().is_none());
+        let mut ctx = SchedContext::new(&t, MemoryPolicy::Unbounded);
+        assert_eq!(ctx.pool().threads(), 1);
+        assert!(ctx.cached_parts().is_some());
+        let pool = Pool::with_threads(3);
+        let ctx = SchedContext::new(&t, MemoryPolicy::Capacity(2)).with_pool(pool);
+        assert_eq!(ctx.pool().threads(), 3);
+        // Uncached runs reproduce the seed implementations: no cached parts.
+        let mut uncached = SchedContext::uncached(&t, MemoryPolicy::Unbounded).with_pool(pool);
+        assert!(uncached.cached_parts().is_none());
     }
 }

@@ -140,7 +140,9 @@ mod tests {
             ],
         );
         let ex = exhaustive_schedule(&trace).evaluate(&trace).total();
-        let go = crate::gomcds::gomcds_schedule(&trace, pim_array::memory::MemorySpec::unbounded())
+        let go = crate::Run::new(&trace)
+            .run_named("GOMCDS")
+            .unwrap()
             .evaluate(&trace)
             .total();
         assert_eq!(ex, go);

@@ -17,9 +17,10 @@
 //! * per-datum work is sharded over the [`pim_par`] pool in contiguous
 //!   chunks sized by [`pim_par::auto_chunk`], so workers stream adjacent
 //!   spans of the shared `refs` array;
-//! * bounded-capacity runs keep the exact two-phase scheme of the classic
-//!   schedulers (parallel pure phase, sequential capacity replay in datum
-//!   order), reusing the same replay code where it exists.
+//! * bounded-capacity runs keep the two-phase shape of the classic
+//!   schedulers and call the very same capacity replays
+//!   (`scds::ScdsReplay`, `lomcds::lomcds_assign`,
+//!   `gomcds::gomcds_replay`).
 //!
 //! Every entry point is **bit-identical** to the classic scheduler on the
 //! equivalent nested trace (property-tested in
@@ -29,37 +30,23 @@
 //! decisions in the same order.
 
 use crate::cache::CostCache;
-use crate::capacity::ProcessorList;
 use crate::cost::AxisScratch;
-use crate::error::{ensure_feasible, exhausted, SchedError};
-use crate::gomcds::{gomcds_path_cached, solve_masked_path_cached, Solver};
+use crate::error::{ensure_feasible, SchedError};
+use crate::gomcds::{gomcds_path_cached, gomcds_replay, Solver};
 use crate::median::MedianState;
 use crate::pipeline::MemoryPolicy;
+use crate::scds::ScdsReplay;
 use crate::schedule::{CostBreakdown, Schedule};
-use crate::workspace::Workspace;
+use crate::workspace::{per_datum, Workspace};
 use pim_array::grid::{Grid, ProcId};
-use pim_array::memory::MemoryMap;
+use pim_metrics::Metrics;
 use pim_par::Pool;
 use pim_trace::flat::{span_window_runs, FlatRef, FlatView};
 use pim_trace::ids::DataId;
 
-/// Per-worker scratch for the median-driven phases. Shared with the
-/// out-of-core pipeline in [`crate::stream`].
-#[derive(Default)]
-pub(crate) struct FlatScratch {
-    pub(crate) med: MedianState,
-    axes: AxisScratch,
-    table: Vec<u64>,
-}
-
-/// The datum ids `0..nd` (the shard items for every phase-1 fan-out).
-fn datum_ids(nd: usize) -> Vec<DataId> {
-    (0..nd as u32).map(DataId).collect()
-}
-
 /// Full-span cost table of one datum (merged over all windows), built from
-/// the flat refs — the spill path when a median center has no room. Shared
-/// with the incremental engine's SCDS fallback replay.
+/// the flat refs — the spill path when a median center has no room.
+/// Shared with the out-of-core pipeline and the incremental engine.
 pub(crate) fn span_full_table(
     grid: &Grid,
     span: &[FlatRef],
@@ -75,7 +62,7 @@ pub(crate) fn span_full_table(
 }
 
 /// The merged-window weighted median of one span — SCDS's pure per-datum
-/// phase. Shared with the out-of-core pipeline in [`crate::stream`].
+/// phase. Shared with the out-of-core pipeline and the incremental engine.
 pub(crate) fn span_merged_median(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
     med.reset(grid);
     for r in span {
@@ -84,49 +71,9 @@ pub(crate) fn span_merged_median(grid: &Grid, span: &[FlatRef], med: &mut Median
     med.center(grid)
 }
 
-/// SCDS's sequential capacity replay: medians are offered in ascending
-/// datum order, and a datum whose median is full falls back to its full
-/// (cost, id)-ordered processor list — exactly the classic scheduler's
-/// decisions. Factored into a state object so [`crate::stream`] can feed
-/// it chunk by chunk and stay bit-identical to [`flat_scds`].
-pub(crate) struct ScdsReplay {
-    mem: MemoryMap,
-    scratch: FlatScratch,
-}
-
-impl ScdsReplay {
-    pub(crate) fn new(grid: &Grid, spec: pim_array::memory::MemorySpec) -> ScdsReplay {
-        ScdsReplay {
-            mem: MemoryMap::new(grid, spec),
-            scratch: FlatScratch::default(),
-        }
-    }
-
-    /// Place datum `d` (with precomputed merged median `c`), mutating the
-    /// shared capacity state. Must be called in ascending datum order.
-    pub(crate) fn place(
-        &mut self,
-        grid: &Grid,
-        d: DataId,
-        span: &[FlatRef],
-        c: ProcId,
-    ) -> Result<ProcId, SchedError> {
-        if self.mem.has_room(c) {
-            self.mem.allocate(c).map_err(|_| exhausted(d, None))?;
-            return Ok(c);
-        }
-        // The median (= list head) is full: fall back to the full
-        // (cost, id)-ordered list, exactly as the classic path does.
-        span_full_table(grid, span, &mut self.scratch.axes, &mut self.scratch.table);
-        ProcessorList::from_cost_table(&self.scratch.table)
-            .assign(&mut self.mem)
-            .ok_or_else(|| exhausted(d, None))
-    }
-}
-
 /// SCDS on a flat trace: one merged-window median per datum, capacity
-/// resolved in ascending datum order. Bit-identical to
-/// [`crate::scds::scds_schedule_cached`] on the equivalent nested trace —
+/// resolved by `ScdsReplay` in ascending datum order. Bit-identical to
+/// [`crate::scds::scds_schedule_parallel`] on the equivalent nested trace —
 /// the merged median *is* the head of the merged processor list, and a
 /// datum only needs the rest of that list when its median is full.
 pub fn flat_scds<V: FlatView + ?Sized>(
@@ -136,34 +83,30 @@ pub fn flat_scds<V: FlatView + ?Sized>(
 ) -> Result<Schedule, SchedError> {
     let grid = flat.grid();
     let nd = flat.num_data();
+    let nw = flat.num_windows();
     let spec = policy.resolve_parts(&grid, nd);
     ensure_feasible(&grid, spec, nd)?;
 
-    let ids = datum_ids(nd);
-    let medians = pim_par::parallel_map_with_chunked(
-        pool,
-        &ids,
-        pim_par::auto_chunk(nd, pool.threads()),
-        FlatScratch::default,
-        |s, _, &d| span_merged_median(&grid, flat.span(d), &mut s.med),
-    );
-
-    let mut replay = ScdsReplay::new(&grid, spec);
-    let mut placement = Vec::with_capacity(nd);
-    for (d, &c) in ids.iter().zip(&medians) {
-        placement.push(replay.place(&grid, *d, flat.span(*d), c)?);
+    let medians = per_datum(pool, nd, |med, d| {
+        span_merged_median(&grid, flat.span(d), med)
+    });
+    if spec.capacity_per_proc == u32::MAX {
+        return Ok(Schedule::static_placement(grid, medians, nw));
     }
-    Ok(Schedule::static_placement(
-        grid,
-        placement,
-        flat.num_windows(),
-    ))
+    let mut replay = ScdsReplay::new(&grid, spec, Metrics::disabled());
+    let mut axes = AxisScratch::default();
+    let mut placement = Vec::with_capacity(nd);
+    for (i, c) in medians.into_iter().enumerate() {
+        let d = DataId(i as u32);
+        placement.push(replay.place(d, c, |t| span_full_table(&grid, flat.span(d), &mut axes, t))?);
+    }
+    Ok(Schedule::static_placement(grid, placement, nw))
 }
 
 /// The unconstrained LOMCDS center sequence of one datum from its flat
 /// span: per-window incremental medians with carry-forward / backfill gap
 /// resolution — `lomcds_centers_unconstrained` without a cost table.
-/// Shared with the out-of-core pipeline in [`crate::stream`].
+/// Shared with the out-of-core pipeline and the incremental engine.
 pub(crate) fn span_lomcds_centers(
     grid: &Grid,
     span: &[FlatRef],
@@ -181,21 +124,35 @@ pub(crate) fn span_lomcds_centers(
             med.remove(r.x, r.y, r.count as u64);
         }
     }
-    crate::lomcds::resolve_gaps_pub(&mut centers);
+    crate::lomcds::resolve_gaps(&mut centers);
     centers
         .into_iter()
         .map(|c| c.unwrap_or(ProcId(0)))
         .collect()
 }
 
+/// The LOMCDS window-0 anchor of one flat span: the median of its first
+/// referenced window, `P0` when it is never referenced. Shared with the
+/// incremental engine.
+pub(crate) fn span_lomcds_anchor(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
+    match span_window_runs(span).next() {
+        Some((_, run)) => {
+            med.reset(grid);
+            for r in run {
+                med.add(r.x, r.y, r.count as u64);
+            }
+            med.center(grid)
+        }
+        None => ProcId(0),
+    }
+}
+
 /// LOMCDS on a flat trace. Unbounded runs are pure per-datum median
 /// sweeps (fully parallel, no capacity state); bounded runs compute the
 /// per-datum anchors in parallel and replay the classic window-major
 /// capacity loop over a flat-backed cost cache. Bit-identical to
-/// [`crate::lomcds::lomcds_schedule_cached`] on the equivalent nested
-/// trace: with unbounded memory the classic loop's `nearest_free(anchor)`
-/// returns the anchor and its processor-list head is the window median, so
-/// the whole loop degenerates to exactly the gap-resolved median sequence.
+/// [`crate::lomcds::lomcds_schedule_parallel`] on the equivalent nested
+/// trace.
 pub fn flat_lomcds<V: FlatView + ?Sized>(
     flat: &V,
     policy: MemoryPolicy,
@@ -206,45 +163,25 @@ pub fn flat_lomcds<V: FlatView + ?Sized>(
     let nw = flat.num_windows();
     let spec = policy.resolve_parts(&grid, nd);
     ensure_feasible(&grid, spec, nd)?;
-    let ids = datum_ids(nd);
-    let chunk = pim_par::auto_chunk(nd, pool.threads());
 
     if spec.capacity_per_proc == u32::MAX {
-        let centers = pim_par::parallel_map_with_chunked(
-            pool,
-            &ids,
-            chunk,
-            FlatScratch::default,
-            |s, _, &d| span_lomcds_centers(&grid, flat.span(d), nw, &mut s.med),
-        );
+        let centers = per_datum(pool, nd, |med, d| {
+            span_lomcds_centers(&grid, flat.span(d), nw, med)
+        });
         return Ok(Schedule::new(grid, centers));
     }
-
-    // Bounded: anchors in parallel (datum `d`'s window-0 anchor is the
-    // median of its first referenced window), then the classic sequential
-    // window-major replay over a flat-backed cache.
-    let anchors =
-        pim_par::parallel_map_with_chunked(pool, &ids, chunk, FlatScratch::default, |s, _, &d| {
-            match span_window_runs(flat.span(d)).next() {
-                Some((_, run)) => {
-                    s.med.reset(&grid);
-                    for r in run {
-                        s.med.add(r.x, r.y, r.count as u64);
-                    }
-                    s.med.center(&grid)
-                }
-                None => ProcId(0),
-            }
-        });
+    let anchors = per_datum(pool, nd, |med, d| {
+        span_lomcds_anchor(&grid, flat.span(d), med)
+    });
     let cache = CostCache::build_flat(flat);
     let mut ws = Workspace::new();
     crate::lomcds::lomcds_assign(grid, nw, spec, &cache, &mut ws, &anchors)
 }
 
 /// GOMCDS (distance-transform solver) on a flat trace: per-datum layered
-/// shortest paths served from a flat-backed cost cache, with the classic
-/// two-phase capacity replay for bounded runs. Bit-identical to
-/// [`crate::gomcds::gomcds_schedule_cached`] on the equivalent nested
+/// shortest paths served from a flat-backed cost cache, then
+/// `gomcds_replay` for bounded runs. Bit-identical to
+/// [`crate::gomcds::gomcds_schedule_parallel`] on the equivalent nested
 /// trace — the cache serves identical tables from either backing.
 pub fn flat_gomcds<V: FlatView + ?Sized>(
     flat: &V,
@@ -253,46 +190,20 @@ pub fn flat_gomcds<V: FlatView + ?Sized>(
 ) -> Result<Schedule, SchedError> {
     let grid = flat.grid();
     let nd = flat.num_data();
-    let nw = flat.num_windows();
     let spec = policy.resolve_parts(&grid, nd);
     ensure_feasible(&grid, spec, nd)?;
     let cache = CostCache::build_flat(flat);
-    let ids = datum_ids(nd);
+    let solver = Solver::DistanceTransform;
 
-    let paths = pim_par::parallel_map_with_chunked(
-        pool,
-        &ids,
-        pim_par::auto_chunk(nd, pool.threads()),
-        Workspace::new,
-        |ws, _, &d| gomcds_path_cached(&grid, cache.datum(d), Solver::DistanceTransform, ws).0,
-    );
+    let paths = per_datum(pool, nd, |ws, d| {
+        gomcds_path_cached(&grid, cache.datum(d), solver, ws).0
+    });
     if spec.capacity_per_proc == u32::MAX {
         return Ok(Schedule::new(grid, paths));
     }
-
-    // Sequential replay in datum order: a path that is still free in every
-    // window is what the masked DP would return (masking raises no cost
-    // along it); anything else re-solves against the current masks.
     let mut ws = Workspace::new();
-    let mut masks: Vec<MemoryMap> = (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
-    let mut centers = Vec::with_capacity(nd);
-    for (d, unconstrained) in ids.into_iter().zip(paths) {
-        let free = unconstrained
-            .iter()
-            .enumerate()
-            .all(|(w, &p)| masks[w].has_room(p));
-        let path = if free {
-            unconstrained
-        } else {
-            solve_masked_path_cached(&grid, cache.datum(d), &masks, &mut ws)
-                .ok_or_else(|| exhausted(d, None))?
-        };
-        for (w, &p) in path.iter().enumerate() {
-            masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
-        }
-        centers.push(path);
-    }
-    Ok(Schedule::new(grid, centers))
+    let nw = flat.num_windows();
+    gomcds_replay(&grid, nw, spec, solver, &cache, paths, &mut ws).map(|(s, _)| s)
 }
 
 /// Evaluate a schedule against a flat trace: volume-weighted reference

@@ -108,7 +108,7 @@ pub fn lomcds_generic<T: Topology + ?Sized>(topo: &T, trace: &WindowedTrace) -> 
                 .windows()
                 .map(|w| (!w.is_empty()).then(|| optimal_center_generic(topo, w).0))
                 .collect();
-            crate::lomcds::resolve_gaps_pub(&mut centers);
+            crate::lomcds::resolve_gaps(&mut centers);
             centers
                 .into_iter()
                 .map(|c| c.unwrap_or(ProcId(0)))
@@ -205,19 +205,19 @@ mod tests {
             assert_eq!(gp, fp);
         }
         // whole-trace schedulers
-        let spec = pim_array::memory::MemorySpec::unbounded();
-        let go = crate::gomcds::gomcds_schedule(&trace, spec);
+        let mut run = crate::Run::new(&trace);
+        let go = run.run_named("GOMCDS").unwrap();
         let centers = gomcds_generic(&grid, &trace);
         assert_eq!(
             evaluate_generic(&grid, &trace, &centers),
             go.evaluate(&trace).total()
         );
-        let sc = crate::scds::scds_schedule(&trace, spec);
+        let sc = run.run_named("SCDS").unwrap();
         assert_eq!(
             evaluate_generic(&grid, &trace, &scds_generic(&grid, &trace)),
             sc.evaluate(&trace).total()
         );
-        let lo = crate::lomcds::lomcds_schedule(&trace, spec);
+        let lo = run.run_named("LOMCDS").unwrap();
         assert_eq!(
             evaluate_generic(&grid, &trace, &lomcds_generic(&grid, &trace)),
             lo.evaluate(&trace).total()

@@ -39,10 +39,12 @@ use crate::cache::{CostCache, DatumCostCache};
 use crate::cost::{cost_table_with, AxisScratch, INF};
 use crate::error::{ensure_feasible, exhausted, SchedError};
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
+use crate::workspace::{per_datum, Workspace};
 use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_par::Pool;
+use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowedTrace};
 
 /// Inner-minimum strategy for the layered shortest path.
@@ -275,8 +277,39 @@ fn solve_layered(
     ws: &mut Workspace,
     move_weight: u64,
 ) -> Option<(Vec<ProcId>, u64)> {
+    let nw = src.num_layers();
+    ws.dp.clear();
+    ws.nodes_all.clear();
+    forward(grid, src, masks, solver, move_weight, 0, ws);
+    if matches!(src, NodeSource::Raw(_)) {
+        // The raw source is the frozen pre-cache reference: it walks the
+        // reference string a second time for the backtrack instead of
+        // memoizing the forward pass — the behaviour the cached-vs-uncached
+        // bench measures.
+        for w in 0..nw {
+            src.node_costs(grid, masks, w, &mut ws.axes, &mut ws.node);
+            ws.nodes_all.extend_from_slice(&ws.node);
+        }
+    }
+    backtrack(grid, &ws.dp, &ws.nodes_all, move_weight)
+}
+
+/// The forward pass over layers `start..`: appends each layer's DP row to
+/// `ws.dp`, which must already hold rows `0..start`. Cache-served node
+/// rows are also appended to `ws.nodes_all` so the backtrack reads them
+/// instead of re-deriving each window.
+fn forward(
+    grid: &Grid,
+    src: &NodeSource<'_>,
+    masks: Option<&[MemoryMap]>,
+    solver: Solver,
+    move_weight: u64,
+    start: usize,
+    ws: &mut Workspace,
+) {
     let m = grid.num_procs();
     let nw = src.num_layers();
+    let memoize = !matches!(src, NodeSource::Raw(_));
     let Workspace {
         axes,
         dp,
@@ -285,19 +318,11 @@ fn solve_layered(
         nodes_all,
         ..
     } = ws;
-    dp.clear();
-    dp.reserve(nw * m);
-    // Cache-served node rows are memoized during the forward pass so the
-    // backtrack reads them instead of re-deriving each window. The raw
-    // source skips this: it is the frozen pre-cache reference whose
-    // two-walk behaviour the cached-vs-uncached bench measures.
-    let memoize = !matches!(src, NodeSource::Raw(_));
-    nodes_all.clear();
+    dp.reserve((nw - start) * m);
     if memoize {
-        nodes_all.reserve(nw * m);
+        nodes_all.reserve((nw - start) * m);
     }
-
-    for w in 0..nw {
+    for w in start..nw {
         src.node_costs(grid, masks, w, axes, node);
         if memoize {
             nodes_all.extend_from_slice(node);
@@ -317,13 +342,24 @@ fn solve_layered(
                 }
             }
             for k in 0..m {
-                let v = relaxed[k].saturating_add(node[k]);
-                dp.push(v);
+                dp.push(relaxed[k].saturating_add(node[k]));
             }
         }
     }
+}
 
-    // Select the sink predecessor: lowest-id argmin of the last row.
+/// Select the sink predecessor — the lowest-id argmin of the last DP row —
+/// then backtrack to the lowest-id predecessor achieving each DP value.
+/// `nodes` holds every layer's node-cost row. `None` when the best cost is
+/// [`INF`] (no feasible path).
+fn backtrack(
+    grid: &Grid,
+    dp: &[u64],
+    nodes: &[u64],
+    move_weight: u64,
+) -> Option<(Vec<ProcId>, u64)> {
+    let m = grid.num_procs();
+    let nw = dp.len() / m;
     let last = &dp[(nw - 1) * m..nw * m];
     let (mut k, &best) = last
         .iter()
@@ -333,18 +369,10 @@ fn solve_layered(
     if best >= INF {
         return None;
     }
-
-    // Backtrack: find the lowest-id predecessor achieving each dp value.
     let mut path = vec![ProcId(0); nw];
     path[nw - 1] = ProcId(k as u32);
     for w in (1..nw).rev() {
-        let noderow: &[u64] = if memoize {
-            &nodes_all[w * m..(w + 1) * m]
-        } else {
-            src.node_costs(grid, masks, w, axes, node);
-            node
-        };
-        let need = dp[w * m + k] - noderow[k];
+        let need = dp[w * m + k] - nodes[w * m + k];
         let prev_row = &dp[(w - 1) * m..w * m];
         let kp = grid.point_of(ProcId(k as u32));
         let mut found = None;
@@ -403,200 +431,35 @@ pub(crate) fn gomcds_path_resumable(
 ) -> (Vec<ProcId>, u64) {
     let m = grid.num_procs();
     let nw = cache.num_windows();
-    let Workspace {
-        axes,
-        dp,
-        node,
-        relaxed,
-        nodes_all,
-        ..
-    } = ws;
-    dp.clear();
-    dp.reserve(nw * m);
-    nodes_all.clear();
-    nodes_all.reserve(nw * m);
+    ws.dp.clear();
+    ws.nodes_all.clear();
     let start = resume.map_or(0, |c| c.layers.min(nw));
     if let Some(c) = resume {
-        dp.extend_from_slice(&c.dp[..start * m]);
-        nodes_all.extend_from_slice(&c.nodes[..start * m]);
+        ws.dp.extend_from_slice(&c.dp[..start * m]);
+        ws.nodes_all.extend_from_slice(&c.nodes[..start * m]);
     }
-
-    for w in start..nw {
-        cache.window_table(w, axes, node);
-        nodes_all.extend_from_slice(node);
-        if w == 0 {
-            dp.extend_from_slice(node);
-        } else {
-            {
-                let prev = &dp[(w - 1) * m..w * m];
-                crate::dt::l1_relax_weighted(grid, prev, 1, relaxed);
-            }
-            for k in 0..m {
-                dp.push(relaxed[k].saturating_add(node[k]));
-            }
-        }
-    }
-
+    let src = NodeSource::Cached(cache);
+    forward(grid, &src, None, Solver::DistanceTransform, 1, start, ws);
     if let Some(out) = save {
         out.layers = nw;
-        out.dp.clear();
-        out.dp.extend_from_slice(dp);
-        out.nodes.clear();
-        out.nodes.extend_from_slice(nodes_all);
+        out.dp.clone_from(&ws.dp);
+        out.nodes.clone_from(&ws.nodes_all);
     }
-
-    // Sink and backtrack exactly as `solve_layered` (lowest-id argmin,
-    // lowest-id predecessor) so resumed paths tie-break identically.
-    let last = &dp[(nw - 1) * m..nw * m];
-    let (mut k, &best) = last
-        .iter()
-        .enumerate()
-        .min_by_key(|&(i, &c)| (c, i))
-        .expect("non-empty grid");
-    let mut path = vec![ProcId(0); nw];
-    path[nw - 1] = ProcId(k as u32);
-    for w in (1..nw).rev() {
-        let noderow = &nodes_all[w * m..(w + 1) * m];
-        let need = dp[w * m + k] - noderow[k];
-        let prev_row = &dp[(w - 1) * m..w * m];
-        let kp = grid.point_of(ProcId(k as u32));
-        let mut found = None;
-        for j in 0..m {
-            let hop = grid.point_of(ProcId(j as u32)).l1_dist(kp);
-            if prev_row[j].saturating_add(hop) == need {
-                found = Some(j);
-                break;
-            }
-        }
-        k = found.expect("dp backtrack must find a predecessor");
-        path[w - 1] = ProcId(k as u32);
-    }
-    (path, best)
+    backtrack(grid, &ws.dp, &ws.nodes_all, 1).expect("unconstrained path always feasible")
 }
 
-/// Compute the GOMCDS schedule with the distance-transform solver.
-pub fn gomcds_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Schedule {
-    gomcds_schedule_with(trace, spec, Solver::DistanceTransform)
-}
-
-/// Compute the GOMCDS schedule with an explicit solver. Builds a per-datum
-/// [`DatumCostCache`] so each window's cost table is derived from prefix
-/// sums (and reused by the backtrack) instead of walking the reference
-/// string twice.
-///
-/// # Panics
-/// Panics if the array's total memory cannot hold every datum. Use the
-/// [`crate::Run`] pipeline (or [`gomcds_schedule_cached`]) for a typed
-/// [`SchedError`] instead.
-pub fn gomcds_schedule_with(trace: &WindowedTrace, spec: MemorySpec, solver: Solver) -> Schedule {
-    let cache = CostCache::build(trace);
-    let mut ws = Workspace::new();
-    gomcds_schedule_cached(trace, spec, solver, &cache, &mut ws).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Pre-cache reference implementation: identical output, node costs walked
-/// from the raw reference strings each time. Kept for the equivalence
-/// property tests and the cached-vs-uncached bench.
+/// Pre-cache reference implementation: node costs walked from the raw
+/// reference strings each time, data solved one by one against the
+/// capacity masks. Bit-identical to [`gomcds_schedule_parallel`]; kept for
+/// the equivalence property tests and the cached-vs-uncached bench.
 pub fn gomcds_schedule_with_uncached(
     trace: &WindowedTrace,
     spec: MemorySpec,
     solver: Solver,
 ) -> Result<Schedule, SchedError> {
-    let mut ws = Workspace::new();
-    gomcds_schedule_driver(trace, spec, solver, &mut ws, None)
-}
-
-/// [`gomcds_schedule_with`] served from a shared per-trace cost cache and
-/// caller-owned workspace (no per-call allocation once warm).
-pub fn gomcds_schedule_cached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    solver: Solver,
-    cache: &CostCache,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    gomcds_schedule_driver(trace, spec, solver, ws, Some(cache))
-}
-
-/// Two-phase parallel GOMCDS under a bounded memory policy, bit-identical
-/// to the sequential [`gomcds_schedule_cached`].
-///
-/// Phase 1 solves every datum's *unconstrained* shortest path in parallel
-/// (pure, order-independent). Phase 2 replays capacity assignment
-/// sequentially in datum-id order: when a datum's unconstrained path still
-/// has room in every window, the masked DP the sequential run would solve
-/// returns exactly that path (masking only raises node costs, and it
-/// raises none along a free path, so the DP values, the lowest-index sink
-/// argmin, and every lowest-index backtrack step are unchanged) — the path
-/// is allocated directly. Only data whose unconstrained path hits a full
-/// slot re-solve the masked DP, exactly as the sequential driver does.
-pub fn gomcds_schedule_parallel(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    solver: Solver,
-    cache: &CostCache<'_>,
-    pool: pim_par::Pool,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
     let grid = trace.grid();
-    let nd = trace.num_data();
     let nw = trace.num_windows();
-    ensure_feasible(&grid, spec, nd)?;
-    let metrics = ws.metrics.clone();
-
-    let ids: Vec<_> = trace.iter_data().map(|(d, _)| d).collect();
-    let paths = {
-        let _t = metrics.phase("GOMCDS/phase1-paths");
-        pim_par::parallel_map_with_chunked(
-            pool,
-            &ids,
-            pim_par::auto_chunk(ids.len(), pool.threads()),
-            Workspace::new,
-            |w, _, &d| gomcds_path_cached(&grid, cache.datum(d), solver, w).0,
-        )
-    };
-
-    let _t = metrics.phase("GOMCDS/phase2-replay");
-    let mut masks: Vec<MemoryMap> = (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
-    let mut centers = Vec::with_capacity(nd);
-    for (d, unconstrained) in ids.into_iter().zip(paths) {
-        let free = unconstrained
-            .iter()
-            .enumerate()
-            .all(|(w, &p)| masks[w].has_room(p));
-        let path = if free {
-            unconstrained
-        } else {
-            solve_layered(
-                &grid,
-                &NodeSource::Cached(cache.datum(d)),
-                Some(&masks),
-                solver,
-                ws,
-                1,
-            )
-            .ok_or_else(|| exhausted(d, None))?
-            .0
-        };
-        for (w, &p) in path.iter().enumerate() {
-            masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
-        }
-        centers.push(path);
-    }
-    Ok(Schedule::new(grid, centers))
-}
-
-fn gomcds_schedule_driver(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    solver: Solver,
-    ws: &mut Workspace,
-    cache: Option<&CostCache>,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let nw = trace.num_windows();
-    ensure_feasible(&grid, spec, nd)?;
+    ensure_feasible(&grid, spec, trace.num_data())?;
 
     let bounded = spec.capacity_per_proc != u32::MAX;
     let mut masks: Vec<MemoryMap> = if bounded {
@@ -604,22 +467,12 @@ fn gomcds_schedule_driver(
     } else {
         Vec::new()
     };
-
-    let mut centers = Vec::with_capacity(nd);
+    let mut ws = Workspace::new();
+    let mut centers = Vec::with_capacity(trace.num_data());
     for (d, rs) in trace.iter_data() {
         let mask_ref = bounded.then_some(masks.as_slice());
-        let (path, _) = match cache {
-            Some(c) => solve_layered(
-                &grid,
-                &NodeSource::Cached(c.datum(d)),
-                mask_ref,
-                solver,
-                ws,
-                1,
-            ),
-            None => solve_layered(&grid, &NodeSource::Raw(rs), mask_ref, solver, ws, 1),
-        }
-        .ok_or_else(|| exhausted(d, None))?;
+        let (path, _) = solve_layered(&grid, &NodeSource::Raw(rs), mask_ref, solver, &mut ws, 1)
+            .ok_or_else(|| exhausted(d, None))?;
         if bounded {
             for (w, &p) in path.iter().enumerate() {
                 masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
@@ -630,16 +483,94 @@ fn gomcds_schedule_driver(
     Ok(Schedule::new(grid, centers))
 }
 
+/// GOMCDS served from a shared per-trace cost cache. Phase 1 solves every
+/// datum's *unconstrained* shortest path over `pool` (pure,
+/// order-independent); with unbounded memory those paths are the schedule.
+/// Under a bounded policy phase 2 is `gomcds_replay`. Any pool width,
+/// [`Pool::serial`] included, gives the same schedule.
+pub fn gomcds_schedule_parallel(
+    trace: &WindowedTrace,
+    spec: MemorySpec,
+    solver: Solver,
+    cache: &CostCache<'_>,
+    pool: Pool,
+    ws: &mut Workspace,
+) -> Result<Schedule, SchedError> {
+    let grid = trace.grid();
+    ensure_feasible(&grid, spec, trace.num_data())?;
+    let metrics = ws.metrics.clone();
+    let paths = {
+        let _t = metrics.phase("GOMCDS/phase1-paths");
+        per_datum(pool, trace.num_data(), |w, d| {
+            gomcds_path_cached(&grid, cache.datum(d), solver, w).0
+        })
+    };
+    if spec.capacity_per_proc == u32::MAX {
+        return Ok(Schedule::new(grid, paths));
+    }
+    let _t = metrics.phase("GOMCDS/phase2-replay");
+    gomcds_replay(&grid, trace.num_windows(), spec, solver, cache, paths, ws).map(|(s, _)| s)
+}
+
+/// GOMCDS's capacity replay, shared by every driver (classic, flat,
+/// incremental): data claim slots in ascending id order, each along the
+/// masked layered shortest path against the slots claimed before it.
+/// `paths` holds every datum's unconstrained path. When one still has room
+/// in every window it is exactly what the masked DP returns — masking only
+/// raises node costs, and it raises none along a free path, so the DP
+/// values, the lowest-index sink argmin and every lowest-index backtrack
+/// step are unchanged — and it is allocated as is. Only data whose path
+/// hits a full slot re-solve. Returns the schedule and how many data
+/// re-solved.
+pub(crate) fn gomcds_replay(
+    grid: &Grid,
+    nw: usize,
+    spec: MemorySpec,
+    solver: Solver,
+    cache: &CostCache<'_>,
+    paths: Vec<Vec<ProcId>>,
+    ws: &mut Workspace,
+) -> Result<(Schedule, usize), SchedError> {
+    let mut masks: Vec<MemoryMap> = (0..nw).map(|_| MemoryMap::new(grid, spec)).collect();
+    let mut spilled = 0usize;
+    let mut centers = Vec::with_capacity(paths.len());
+    for (i, unconstrained) in paths.into_iter().enumerate() {
+        let d = DataId(i as u32);
+        let free = unconstrained
+            .iter()
+            .enumerate()
+            .all(|(w, &p)| masks[w].has_room(p));
+        let path = if free {
+            unconstrained
+        } else {
+            spilled += 1;
+            let src = NodeSource::Cached(cache.datum(d));
+            solve_layered(grid, &src, Some(&masks), solver, ws, 1)
+                .ok_or_else(|| exhausted(d, None))?
+                .0
+        };
+        for (w, &p) in path.iter().enumerate() {
+            masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
+        }
+        centers.push(path);
+    }
+    Ok((Schedule::new(*grid, centers), spilled))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lomcds::lomcds_schedule;
-    use crate::scds::scds_schedule;
+    use crate::pipeline::{MemoryPolicy, Run};
     use pim_trace::ids::DataId;
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
     fn g() -> Grid {
         Grid::new(4, 4)
+    }
+
+    /// The registered scheduler `name` on `trace` under `policy`.
+    fn run(trace: &WindowedTrace, policy: MemoryPolicy, name: &str) -> Schedule {
+        Run::new(trace).policy(policy).run_named(name).unwrap()
     }
 
     #[test]
@@ -655,7 +586,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 5)]),
             ]],
         );
-        let s = gomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = run(&trace, MemoryPolicy::Unbounded, "GOMCDS");
         let cs = s.centers_of(DataId(0));
         assert_eq!(cs, &[grid.proc_xy(0, 0); 3]);
         assert_eq!(s.evaluate(&trace).total(), 3);
@@ -672,7 +603,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
             ]],
         );
-        let s = gomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = run(&trace, MemoryPolicy::Unbounded, "GOMCDS");
         let cs = s.centers_of(DataId(0));
         assert_eq!(cs[0], grid.proc_xy(0, 0));
         assert_eq!(cs[1], grid.proc_xy(3, 3));
@@ -701,10 +632,10 @@ mod tests {
                 ],
             ],
         );
-        for spec in [MemorySpec::unbounded(), MemorySpec::uniform(1)] {
-            let a = gomcds_schedule_with(&trace, spec, Solver::Naive);
-            let b = gomcds_schedule_with(&trace, spec, Solver::DistanceTransform);
-            assert_eq!(a, b, "spec {spec:?}");
+        for policy in [MemoryPolicy::Unbounded, MemoryPolicy::Capacity(1)] {
+            let a = run(&trace, policy, "GOMCDS-naive");
+            let b = run(&trace, policy, "GOMCDS");
+            assert_eq!(a, b, "policy {policy:?}");
         }
     }
 
@@ -726,10 +657,13 @@ mod tests {
                 ],
             ],
         );
+        let cache = CostCache::build(&trace);
+        let mut ws = Workspace::new();
         for spec in [MemorySpec::unbounded(), MemorySpec::uniform(1)] {
             for solver in [Solver::Naive, Solver::DistanceTransform] {
                 assert_eq!(
-                    gomcds_schedule_with(&trace, spec, solver),
+                    gomcds_schedule_parallel(&trace, spec, solver, &cache, Pool::serial(), &mut ws)
+                        .unwrap(),
                     gomcds_schedule_with_uncached(&trace, spec, solver).unwrap(),
                     "spec {spec:?} solver {solver:?}"
                 );
@@ -766,10 +700,12 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(2, 1), 2)]),
             ]],
         );
-        let unb = MemorySpec::unbounded();
-        let go = gomcds_schedule(&trace, unb).evaluate(&trace).total();
-        let lo = lomcds_schedule(&trace, unb).evaluate(&trace).total();
-        let sc = scds_schedule(&trace, unb).evaluate(&trace).total();
+        let total = |name| {
+            run(&trace, MemoryPolicy::Unbounded, name)
+                .evaluate(&trace)
+                .total()
+        };
+        let (go, lo, sc) = (total("GOMCDS"), total("LOMCDS"), total("SCDS"));
         assert!(go <= lo, "GOMCDS {go} must be ≤ LOMCDS {lo}");
         assert!(go <= sc, "GOMCDS {go} must be ≤ SCDS {sc}");
     }
@@ -800,7 +736,7 @@ mod tests {
             grid,
             vec![want(grid.proc_xy(2, 2)), want(grid.proc_xy(2, 2))],
         );
-        let s = gomcds_schedule(&trace, MemorySpec::uniform(1));
+        let s = run(&trace, MemoryPolicy::Capacity(1), "GOMCDS");
         assert_eq!(s.max_occupancy(), 1);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(2, 2));
         assert_ne!(s.center(DataId(1), 0), grid.proc_xy(2, 2));
@@ -846,7 +782,9 @@ mod tests {
                 (grid.proc_xy(0, 2), 1),
             ])]],
         );
-        let unb = MemorySpec::unbounded();
-        assert_eq!(gomcds_schedule(&trace, unb), scds_schedule(&trace, unb));
+        assert_eq!(
+            run(&trace, MemoryPolicy::Unbounded, "GOMCDS"),
+            run(&trace, MemoryPolicy::Unbounded, "SCDS")
+        );
     }
 }

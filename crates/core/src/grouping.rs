@@ -32,10 +32,11 @@ use crate::cost::{cost_at, optimal_center, INF};
 use crate::error::{ensure_feasible, exhausted, SchedError};
 use crate::gomcds::{gomcds_path, Solver};
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
+use crate::workspace::{per_datum, Workspace};
 use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_par::Pool;
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
 
@@ -67,7 +68,7 @@ pub fn local_group_centers(
             (!merged.is_empty()).then(|| optimal_center(grid, &merged).0)
         })
         .collect();
-    crate::lomcds::resolve_gaps_pub(&mut centers);
+    crate::lomcds::resolve_gaps(&mut centers);
     centers
         .into_iter()
         .map(|c| c.unwrap_or(ProcId(0)))
@@ -92,7 +93,7 @@ pub fn local_group_centers_cached(
             })
         })
         .collect();
-    crate::lomcds::resolve_gaps_pub(&mut centers);
+    crate::lomcds::resolve_gaps(&mut centers);
     centers
         .into_iter()
         .map(|c| c.unwrap_or(ProcId(0)))
@@ -623,83 +624,62 @@ fn attach_empty_windows(runs: &[(usize, usize)], refd: &[usize], n: usize) -> Ve
     groups
 }
 
-/// Schedule the whole trace with greedy grouping, deciding and placing with
-/// the same [`GroupMethod`]. See [`grouped_schedule_with`].
-pub fn grouped_schedule(trace: &WindowedTrace, spec: MemorySpec, method: GroupMethod) -> Schedule {
-    grouped_schedule_with(trace, spec, method, method)
-}
-
 /// Schedule the whole trace with greedy grouping (the paper's Table 2
-/// pipeline): per datum, group windows with Algorithm 3 costed by the
-/// `decide` method, then place each group's center with the `place` method
-/// under the memory constraint. The paper's Table 2 runs Algorithm 3
-/// "assuming using LOMCDS to compute centers" (`decide = LocalCenters`) and
-/// then reports each scheduler on the grouped windows.
+/// pipeline), served from a shared per-trace cost cache: per datum, group
+/// windows with Algorithm 3 costed by the `decide` method, then place each
+/// group's center with the `place` method under the memory constraint. The
+/// paper's Table 2 runs Algorithm 3 "assuming using LOMCDS to compute
+/// centers" (`decide = LocalCenters`) and then reports each scheduler on
+/// the grouped windows.
 ///
 /// With [`GroupMethod::LocalCenters`] placement, capacity is resolved
 /// window-major in ascending datum order like LOMCDS; a datum entering a
 /// group claims a slot in *every* window of the group (it stays put
 /// throughout). With [`GroupMethod::GomcdsCenters`] placement, data are
-/// processed in id order and each solves a masked shortest path over its
-/// grouped windows like GOMCDS.
+/// processed heaviest first and each solves a masked shortest path over
+/// its grouped windows like GOMCDS.
 ///
-/// # Panics
-/// Panics if the array's total memory cannot hold every datum. Use the
-/// [`crate::Run`] pipeline (or [`grouped_schedule_with_cached`]) for a
-/// typed [`crate::SchedError`] instead.
-pub fn grouped_schedule_with(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    decide: GroupMethod,
-    place: GroupMethod,
-) -> Schedule {
-    let cache = CostCache::build(trace);
-    let mut ws = Workspace::new();
-    grouped_schedule_with_cached(trace, spec, decide, place, &cache, &mut ws)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`grouped_schedule_with`] served from a shared per-trace cost cache:
-/// grouping decisions, group tables, and masked GOMCDS placement all use
-/// prefix-sum range queries. Bit-identical to the uncached reference.
-pub fn grouped_schedule_with_cached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    decide: GroupMethod,
-    place: GroupMethod,
-    cache: &CostCache,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let groupings: Vec<Vec<Range<usize>>> = (0..nd)
-        .map(|d| greedy_grouping_cached(&grid, cache.datum(DataId(d as u32)), decide, ws))
-        .collect();
-    grouped_place_cached(trace, spec, place, cache, ws, &groupings)
-}
-
-/// Two-phase parallel grouped scheduling, bit-identical to the sequential
-/// [`grouped_schedule_with_cached`]: phase 1 runs the per-datum greedy
-/// grouping decisions — pure functions of one datum's reference string,
-/// and the dominant cost of the pipeline — across the pool; phase 2 is the
-/// unchanged sequential placement replay (shared verbatim with the
-/// sequential path), so capacity resolution sees the same state in the
-/// same order regardless of thread count.
+/// Phase 1 runs the per-datum grouping decisions — pure functions of one
+/// datum's references, and the dominant cost of the pipeline — over
+/// `pool`; with unbounded memory it also places each datum's groups, and
+/// that is the schedule. Under a bounded policy phase 2 is the sequential
+/// placement replay. Any pool width, [`Pool::serial`] included, gives the
+/// same schedule.
 pub fn grouped_schedule_parallel(
     trace: &WindowedTrace,
     spec: MemorySpec,
     decide: GroupMethod,
     place: GroupMethod,
     cache: &CostCache<'_>,
-    pool: pim_par::Pool,
+    pool: Pool,
     ws: &mut Workspace,
 ) -> Result<Schedule, SchedError> {
     let grid = trace.grid();
+    let nd = trace.num_data();
+    ensure_feasible(&grid, spec, nd)?;
     let metrics = ws.metrics.clone();
-    let ids: Vec<_> = trace.iter_data().map(|(d, _)| d).collect();
+    if spec.capacity_per_proc == u32::MAX {
+        let _t = metrics.phase("Grouped/phase1-centers");
+        let centers = per_datum(pool, nd, |w, d| {
+            let dc = cache.datum(d);
+            let groups = greedy_grouping_cached(&grid, dc, decide, w);
+            let group_centers = match place {
+                GroupMethod::LocalCenters => local_group_centers_cached(dc, &groups, w),
+                GroupMethod::GomcdsCenters => {
+                    crate::gomcds::gomcds_path_ranges(&grid, dc, &groups, w).0
+                }
+            };
+            let mut per_window = vec![ProcId(0); dc.num_windows()];
+            for (g, &c) in groups.iter().zip(&group_centers) {
+                per_window[g.clone()].fill(c);
+            }
+            per_window
+        });
+        return Ok(Schedule::new(grid, centers));
+    }
     let groupings = {
         let _t = metrics.phase("Grouped/phase1-groupings");
-        pim_par::parallel_map_with(pool, &ids, Workspace::new, |w, _, &d| {
+        per_datum(pool, nd, |w, d| {
             greedy_grouping_cached(&grid, cache.datum(d), decide, w)
         })
     };
@@ -707,9 +687,9 @@ pub fn grouped_schedule_parallel(
     grouped_place_cached(trace, spec, place, cache, ws, &groupings)
 }
 
-/// The placement phase shared by the sequential and two-phase parallel
-/// grouped schedulers: resolve capacity for precomputed per-datum
-/// groupings, sequentially in the fixed datum/window order.
+/// The placement replay of [`grouped_schedule_parallel`]: resolve capacity
+/// for precomputed per-datum groupings, sequentially in the fixed
+/// datum/window order.
 fn grouped_place_cached(
     trace: &WindowedTrace,
     spec: MemorySpec,
@@ -721,7 +701,6 @@ fn grouped_place_cached(
     let grid = trace.grid();
     let nd = trace.num_data();
     let nw = trace.num_windows();
-    ensure_feasible(&grid, spec, nd)?;
     let metrics = ws.metrics.clone();
     let mut mems: Vec<MemoryMap> = (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
     let mut centers = vec![vec![ProcId(0); nw]; nd];
@@ -871,7 +850,7 @@ fn grouped_place_cached(
     Ok(Schedule::new(grid, centers))
 }
 
-/// Pre-cache reference implementation of [`grouped_schedule_with`] — every
+/// Pre-cache reference implementation of [`grouped_schedule_parallel`] — every
 /// merged range re-walks the reference lists. Bit-identical; kept for the
 /// equivalence property tests and benches.
 pub fn grouped_schedule_with_uncached(
@@ -1042,6 +1021,14 @@ mod tests {
         DataRefString::new(windows)
     }
 
+    /// Grouped schedule deciding and placing with the same method.
+    fn grouped(trace: &WindowedTrace, spec: MemorySpec, method: GroupMethod) -> Schedule {
+        let cache = CostCache::build(trace);
+        let mut ws = Workspace::new();
+        grouped_schedule_parallel(trace, spec, method, method, &cache, Pool::serial(), &mut ws)
+            .unwrap()
+    }
+
     #[test]
     fn identical_windows_group_into_one() {
         let grid = g();
@@ -1134,10 +1121,12 @@ mod tests {
             .collect();
         let trace = WindowedTrace::from_parts(grid, vec![windows]);
         let unb = MemorySpec::unbounded();
-        let lom = crate::lomcds::lomcds_schedule(&trace, unb)
+        let lom = crate::pipeline::Run::new(&trace)
+            .run_named("LOMCDS")
+            .unwrap()
             .evaluate(&trace)
             .total();
-        let grouped = grouped_schedule(&trace, unb, GroupMethod::LocalCenters)
+        let grouped = grouped(&trace, unb, GroupMethod::LocalCenters)
             .evaluate(&trace)
             .total();
         assert!(grouped <= lom, "grouped {grouped} vs lomcds {lom}");
@@ -1158,7 +1147,7 @@ mod tests {
             vec![want(grid.proc_xy(1, 1)), want(grid.proc_xy(1, 1))],
         );
         for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
-            let s = grouped_schedule(&trace, MemorySpec::uniform(1), method);
+            let s = grouped(&trace, MemorySpec::uniform(1), method);
             assert_eq!(s.max_occupancy(), 1, "{method:?}");
         }
     }

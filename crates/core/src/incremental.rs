@@ -33,23 +33,23 @@
 //! after every delta.
 
 use crate::cache::CostCache;
-use crate::capacity::ProcessorList;
-use crate::error::{ensure_feasible, exhausted, SchedError};
-use crate::flat::span_full_table;
+use crate::error::{ensure_feasible, SchedError};
+use crate::flat::{span_full_table, span_lomcds_anchor, span_lomcds_centers, span_merged_median};
 use crate::gomcds::{
-    gomcds_path_cached, gomcds_path_resumable, solve_masked_path_cached, DpCheckpoint, Solver,
+    gomcds_path_cached, gomcds_path_resumable, gomcds_replay, DpCheckpoint, Solver,
 };
 use crate::lomcds::lomcds_assign_observed;
 use crate::median::{MedianState, PackedMedians};
 use crate::pipeline::{MemoryPolicy, Method};
+use crate::scds::ScdsReplay;
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
+use crate::workspace::{per_datum, Workspace};
 use pim_array::grid::{Grid, ProcId};
-use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_array::memory::MemorySpec;
 use pim_metrics::Metrics;
 use pim_par::Pool;
 use pim_trace::edit::{DirtyKind, EditOp, EditableTrace, TraceDelta};
-use pim_trace::flat::{FlatRef, FlatTrace, FlatTraceError};
+use pim_trace::flat::{FlatTrace, FlatTraceError};
 use pim_trace::ids::DataId;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -530,70 +530,58 @@ impl IncrementalRun {
 
         // Dirty re-solve + occupancy patch (or fallback).
         let dirty_count = dirty.data.len();
-        let mut fallback = false;
+        let fallback;
         {
             let _t = metrics.phase("incremental/dirty-solve");
             match &mut self.state {
                 MethodState::Scds { medians, ckpts } => {
-                    let mut fresh = std::mem::take(&mut self.fresh);
-                    let mut scratch = MedianState::default();
-                    let mut changes: Vec<(DataId, ProcId, ProcId)> =
-                        Vec::with_capacity(dirty_count);
-                    if ckpts.is_some() && fresh.len() == dirty_count {
+                    let fresh = std::mem::take(&mut self.fresh);
+                    let mut updates = if ckpts.is_some() && fresh.len() == dirty_count {
                         // One list entry per dirty datum ⇒ unique and
                         // covering: the post_op pre-computed centers stand
                         // in for cold checkpoint re-reads.
-                        for &(d, new) in &fresh {
-                            let old = medians[d.index()];
-                            medians[d.index()] = new;
-                            changes.push((d, old, new));
-                        }
+                        fresh
                     } else {
-                        for &(d, _) in &dirty.data {
-                            let new = match ckpts {
-                                Some(c) => c.center(d.index(), &grid),
-                                None => span_median(&grid, self.trace.span(d), &mut scratch),
-                            };
-                            let old = medians[d.index()];
-                            medians[d.index()] = new;
-                            changes.push((d, old, new));
-                        }
-                    }
-                    fresh.clear();
-                    self.fresh = fresh;
-                    match &mut self.bounded {
-                        None => {
-                            for &(d, old, new) in &changes {
-                                if new != old {
-                                    self.schedule.fill_row(d, new);
-                                }
-                            }
-                        }
-                        Some(b) if b.spilled > 0 => fallback = true,
+                        let mut scratch = MedianState::default();
+                        let trace = &self.trace;
+                        let mut center = |d: DataId| match ckpts {
+                            Some(c) => c.center(d.index(), &grid),
+                            None => span_merged_median(&grid, trace.span(d), &mut scratch),
+                        };
+                        dirty.data.iter().map(|&(d, _)| (d, center(d))).collect()
+                    };
+                    let changes: Vec<(DataId, ProcId, ProcId)> = updates
+                        .iter()
+                        .map(|&(d, new)| (d, std::mem::replace(&mut medians[d.index()], new), new))
+                        .collect();
+                    updates.clear();
+                    self.fresh = updates;
+                    // Bounded with no spills ⇒ every current placement is
+                    // its median; swap dirty old medians for new ones and
+                    // check the incremented cells.
+                    let patched = match &mut self.bounded {
+                        None => true,
+                        Some(b) if b.spilled > 0 => false,
                         Some(b) => {
-                            // No spills ⇒ every current placement is its
-                            // median; swap dirty old medians for new ones
-                            // and check the incremented cells.
-                            let cap = b.spec.capacity_per_proc;
                             for &(_, old, _) in &changes {
                                 b.occ[old.index()] -= 1;
                             }
                             let mut ok = true;
                             for &(_, _, new) in &changes {
                                 b.occ[new.index()] += 1;
-                                ok &= b.occ[new.index()] <= cap;
+                                ok &= b.occ[new.index()] <= b.spec.capacity_per_proc;
                             }
-                            if ok {
-                                for &(d, old, new) in &changes {
-                                    if new != old {
-                                        self.schedule.fill_row(d, new);
-                                    }
-                                }
-                            } else {
-                                fallback = true;
+                            ok
+                        }
+                    };
+                    if patched {
+                        for &(d, old, new) in &changes {
+                            if new != old {
+                                self.schedule.fill_row(d, new);
                             }
                         }
                     }
+                    fallback = !patched;
                 }
                 MethodState::Lomcds { anchors } => {
                     let dirty_ids: Vec<DataId> = dirty.data.iter().map(|&(d, _)| d).collect();
@@ -604,13 +592,13 @@ impl IncrementalRun {
                             &dirty_ids,
                             pim_par::auto_chunk(dirty_count, self.pool.threads()),
                             MedianState::default,
-                            |med, _, &d| span_lomcds_row(&grid, trace.span(d), nw, med),
+                            |med, _, &d| span_lomcds_centers(&grid, trace.span(d), nw, med),
                         )
                     } else {
                         let mut med = MedianState::default();
                         dirty_ids
                             .iter()
-                            .map(|&d| span_lomcds_row(&grid, trace.span(d), nw, &mut med))
+                            .map(|&d| span_lomcds_centers(&grid, trace.span(d), nw, &mut med))
                             .collect()
                     };
                     // Gap resolution backfills leading empties with the
@@ -619,37 +607,8 @@ impl IncrementalRun {
                     for (&d, row) in dirty_ids.iter().zip(&rows) {
                         anchors[d.index()] = row[0];
                     }
-                    match &mut self.bounded {
-                        None => {
-                            for (&d, row) in dirty_ids.iter().zip(rows) {
-                                self.schedule.set_row(d, row);
-                            }
-                        }
-                        Some(b) if b.spilled > 0 => fallback = true,
-                        Some(b) => {
-                            let cap = b.spec.capacity_per_proc;
-                            for &d in &dirty_ids {
-                                for (w, &p) in self.schedule.centers_of(d).iter().enumerate() {
-                                    b.occ[w * m + p.index()] -= 1;
-                                }
-                            }
-                            let mut ok = true;
-                            for row in &rows {
-                                for (w, &p) in row.iter().enumerate() {
-                                    let cell = &mut b.occ[w * m + p.index()];
-                                    *cell += 1;
-                                    ok &= *cell <= cap;
-                                }
-                            }
-                            if ok {
-                                for (&d, row) in dirty_ids.iter().zip(rows) {
-                                    self.schedule.set_row(d, row);
-                                }
-                            } else {
-                                fallback = true;
-                            }
-                        }
-                    }
+                    let bounded = self.bounded.as_mut();
+                    fallback = !patch_rows(&mut self.schedule, bounded, m, &dirty_ids, rows);
                 }
                 MethodState::Gomcds { pure, resume } => {
                     let dirty_ids: Vec<DataId> = dirty.data.iter().map(|&(d, _)| d).collect();
@@ -690,37 +649,8 @@ impl IncrementalRun {
                     for (&d, row) in dirty_ids.iter().zip(&rows) {
                         pure[d.index()] = row.clone();
                     }
-                    match &mut self.bounded {
-                        None => {
-                            for (&d, row) in dirty_ids.iter().zip(rows) {
-                                self.schedule.set_row(d, row);
-                            }
-                        }
-                        Some(b) if b.spilled > 0 => fallback = true,
-                        Some(b) => {
-                            let cap = b.spec.capacity_per_proc;
-                            for &d in &dirty_ids {
-                                for (w, &p) in self.schedule.centers_of(d).iter().enumerate() {
-                                    b.occ[w * m + p.index()] -= 1;
-                                }
-                            }
-                            let mut ok = true;
-                            for row in &rows {
-                                for (w, &p) in row.iter().enumerate() {
-                                    let cell = &mut b.occ[w * m + p.index()];
-                                    *cell += 1;
-                                    ok &= *cell <= cap;
-                                }
-                            }
-                            if ok {
-                                for (&d, row) in dirty_ids.iter().zip(rows) {
-                                    self.schedule.set_row(d, row);
-                                }
-                            } else {
-                                fallback = true;
-                            }
-                        }
-                    }
+                    let bounded = self.bounded.as_mut();
+                    fallback = !patch_rows(&mut self.schedule, bounded, m, &dirty_ids, rows);
                 }
             }
         }
@@ -742,21 +672,15 @@ impl IncrementalRun {
         let _t = metrics.phase("incremental/initial-solve");
         let grid = self.grid;
         let nd = self.trace.num_data();
-        let ids: Vec<DataId> = (0..nd as u32).map(DataId).collect();
-        let chunk = pim_par::auto_chunk(nd, self.pool.threads());
         let trace = &self.trace;
         match &mut self.state {
             MethodState::Scds { medians, ckpts } => {
-                *medians = pim_par::parallel_map_with_chunked(
-                    self.pool,
-                    &ids,
-                    chunk,
-                    MedianState::default,
-                    |med, _, &d| span_median(&grid, trace.span(d), med),
-                );
+                *medians = per_datum(self.pool, nd, |med, d| {
+                    span_merged_median(&grid, trace.span(d), med)
+                });
                 *ckpts = scds_checkpoints_fit(&grid, nd, self.scds_ckpt_budget).then(|| {
                     let mut pool = PackedMedians::new(&grid, nd);
-                    for &d in &ids {
+                    for d in (0..nd as u32).map(DataId) {
                         for r in trace.span(d) {
                             pool.add(d.index(), r.x, r.y, r.count as u64);
                         }
@@ -765,25 +689,15 @@ impl IncrementalRun {
                 });
             }
             MethodState::Lomcds { anchors } => {
-                *anchors = pim_par::parallel_map_with_chunked(
-                    self.pool,
-                    &ids,
-                    chunk,
-                    MedianState::default,
-                    |med, _, &d| span_first_anchor(&grid, trace.span(d), med),
-                );
+                *anchors = per_datum(self.pool, nd, |med, d| {
+                    span_lomcds_anchor(&grid, trace.span(d), med)
+                });
             }
             MethodState::Gomcds { pure, .. } => {
                 let cache = &self.cache;
-                *pure = pim_par::parallel_map_with_chunked(
-                    self.pool,
-                    &ids,
-                    chunk,
-                    Workspace::new,
-                    |ws, _, &d| {
-                        gomcds_path_cached(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
-                    },
-                );
+                *pure = per_datum(self.pool, nd, |ws, d| {
+                    gomcds_path_cached(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
+                });
             }
         }
         self.replay()
@@ -802,46 +716,31 @@ impl IncrementalRun {
         let unbounded = spec.capacity_per_proc == u32::MAX;
         match &mut self.state {
             MethodState::Scds { medians, .. } => {
-                let mut mem = MemoryMap::new(&grid, spec);
-                let mut spilled = 0usize;
+                let mut replay = ScdsReplay::new(&grid, spec, Metrics::disabled());
                 let mut placement = Vec::with_capacity(nd);
                 for (i, &c) in medians.iter().enumerate() {
                     let d = DataId(i as u32);
-                    let p = if mem.has_room(c) {
-                        mem.allocate(c).map_err(|_| exhausted(d, None))?;
-                        c
-                    } else {
-                        spilled += 1;
-                        span_full_table(
-                            &grid,
-                            self.trace.span(d),
-                            &mut self.ws.axes,
-                            &mut self.ws.table,
-                        );
-                        ProcessorList::from_cost_table(&self.ws.table)
-                            .assign(&mut mem)
-                            .ok_or_else(|| exhausted(d, None))?
-                    };
-                    placement.push(p);
+                    let span = self.trace.span(d);
+                    let axes = &mut self.ws.axes;
+                    placement.push(replay.place(d, c, |t| span_full_table(&grid, span, axes, t))?);
                 }
                 let mut occ = vec![0u32; m];
                 for &p in &placement {
                     occ[p.index()] += 1;
                 }
                 self.schedule = Schedule::static_placement(grid, placement, nw);
-                self.bounded = (!unbounded).then_some(BoundedState { spec, spilled, occ });
+                self.bounded = (!unbounded).then_some(BoundedState {
+                    spec,
+                    spilled: replay.spilled(),
+                    occ,
+                });
             }
             MethodState::Lomcds { anchors } => {
                 if unbounded {
                     let trace = &self.trace;
-                    let ids: Vec<DataId> = (0..nd as u32).map(DataId).collect();
-                    let rows = pim_par::parallel_map_with_chunked(
-                        self.pool,
-                        &ids,
-                        pim_par::auto_chunk(nd, self.pool.threads()),
-                        MedianState::default,
-                        |med, _, &d| span_lomcds_row(&grid, trace.span(d), nw, med),
-                    );
+                    let rows = per_datum(self.pool, nd, |med, d| {
+                        span_lomcds_centers(&grid, trace.span(d), nw, med)
+                    });
                     self.schedule = Schedule::new(grid, rows);
                     self.bounded = None;
                 } else {
@@ -870,34 +769,16 @@ impl IncrementalRun {
                     self.schedule = Schedule::new(grid, pure.clone());
                     self.bounded = None;
                 } else {
-                    let mut masks: Vec<MemoryMap> =
-                        (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
-                    let mut spilled = 0usize;
-                    let mut centers = Vec::with_capacity(nd);
-                    for (i, unconstrained) in pure.iter().enumerate() {
-                        let d = DataId(i as u32);
-                        let free = unconstrained
-                            .iter()
-                            .enumerate()
-                            .all(|(w, &p)| masks[w].has_room(p));
-                        let path = if free {
-                            unconstrained.clone()
-                        } else {
-                            spilled += 1;
-                            solve_masked_path_cached(
-                                &grid,
-                                self.cache.datum(d),
-                                &masks,
-                                &mut self.ws,
-                            )
-                            .ok_or_else(|| exhausted(d, None))?
-                        };
-                        for (w, &p) in path.iter().enumerate() {
-                            masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
-                        }
-                        centers.push(path);
-                    }
-                    let sched = Schedule::new(grid, centers);
+                    let solver = Solver::DistanceTransform;
+                    let (sched, spilled) = gomcds_replay(
+                        &grid,
+                        nw,
+                        spec,
+                        solver,
+                        &self.cache,
+                        pure.clone(),
+                        &mut self.ws,
+                    )?;
                     let occ = occ_rows(&grid, &sched);
                     self.schedule = sched;
                     self.bounded = Some(BoundedState { spec, spilled, occ });
@@ -908,50 +789,44 @@ impl IncrementalRun {
     }
 }
 
-/// Merged-window weighted median of one flat span (the SCDS center).
-fn span_median(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
-    med.reset(grid);
-    for r in span {
-        med.add(r.x, r.y, r.count as u64);
-    }
-    med.center(grid)
-}
-
-/// The LOMCDS window-0 anchor of one flat span: the median of its first
-/// referenced window, `P0` when never referenced.
-fn span_first_anchor(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
-    match span.chunk_by(|a, b| a.window == b.window).next() {
-        Some(run) => {
-            med.reset(grid);
-            for r in run {
-                med.add(r.x, r.y, r.count as u64);
+/// Install re-solved rows for the dirty data `ids` (LOMCDS and GOMCDS).
+/// Unbounded runs take them as they are. Bounded runs apply the occupancy
+/// patch rule: with no spill in the last full replay, swap the old rows
+/// for the new ones in the window-major occupancy and accept when every
+/// touched cell stays within capacity. Returns `false` when the full
+/// replay must run instead (the occupancy is then rebuilt by it).
+fn patch_rows(
+    schedule: &mut Schedule,
+    bounded: Option<&mut BoundedState>,
+    m: usize,
+    ids: &[DataId],
+    rows: Vec<Vec<ProcId>>,
+) -> bool {
+    if let Some(b) = bounded {
+        if b.spilled > 0 {
+            return false;
+        }
+        for &d in ids {
+            for (w, &p) in schedule.centers_of(d).iter().enumerate() {
+                b.occ[w * m + p.index()] -= 1;
             }
-            med.center(grid)
         }
-        None => ProcId(0),
-    }
-}
-
-/// The unconstrained LOMCDS center row of one flat span: per-window
-/// incremental medians with carry-forward / backfill gap resolution —
-/// the same sequence `flat_lomcds` computes per datum.
-fn span_lomcds_row(grid: &Grid, span: &[FlatRef], nw: usize, med: &mut MedianState) -> Vec<ProcId> {
-    let mut centers: Vec<Option<ProcId>> = vec![None; nw];
-    med.reset(grid);
-    for run in span.chunk_by(|a, b| a.window == b.window) {
-        for r in run {
-            med.add(r.x, r.y, r.count as u64);
+        let mut ok = true;
+        for row in &rows {
+            for (w, &p) in row.iter().enumerate() {
+                let cell = &mut b.occ[w * m + p.index()];
+                *cell += 1;
+                ok &= *cell <= b.spec.capacity_per_proc;
+            }
         }
-        centers[run[0].window as usize] = Some(med.center(grid));
-        for r in run {
-            med.remove(r.x, r.y, r.count as u64);
+        if !ok {
+            return false;
         }
     }
-    crate::lomcds::resolve_gaps_pub(&mut centers);
-    centers
-        .into_iter()
-        .map(|c| c.unwrap_or(ProcId(0)))
-        .collect()
+    for (&d, row) in ids.iter().zip(rows) {
+        schedule.set_row(d, row);
+    }
+    true
 }
 
 /// Window-major final occupancy of a schedule.

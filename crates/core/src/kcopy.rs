@@ -297,7 +297,6 @@ pub fn kcopy_schedule(trace: &WindowedTrace, spec: MemorySpec, k: usize) -> KCop
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gomcds::gomcds_schedule;
     use crate::replicate::replicated_schedule;
 
     fn grid() -> Grid {
@@ -325,7 +324,11 @@ mod tests {
         assert_eq!(k1.max_copies(), 1);
         assert_eq!(
             k1.evaluate(&t).total(),
-            gomcds_schedule(&t, spec).evaluate(&t).total()
+            crate::Run::new(&t)
+                .run_named("GOMCDS")
+                .unwrap()
+                .evaluate(&t)
+                .total()
         );
     }
 

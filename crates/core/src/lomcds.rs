@@ -16,9 +16,10 @@ use crate::capacity::ProcessorList;
 use crate::cost::{cost_table, optimal_center};
 use crate::error::{ensure_feasible, exhausted, SchedError};
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
+use crate::workspace::{per_datum, Workspace};
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_par::Pool;
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowedTrace};
 
@@ -41,8 +42,10 @@ pub fn lomcds_centers_unconstrained(grid: &Grid, rs: &DataRefString) -> Vec<Proc
 }
 
 /// [`lomcds_centers_unconstrained`] served from a per-datum cost cache and
-/// reusable workspace — no reference-string walks, no allocation once warm
-/// (beyond the returned vector).
+/// reusable workspace: each window's center is its weighted median
+/// ([`DatumCostCache::range_median`], the cost table's lowest-id argmin
+/// without building the table), with no allocation once warm (beyond the
+/// returned vector).
 pub fn lomcds_centers_unconstrained_cached(
     cache: &DatumCostCache,
     ws: &mut Workspace,
@@ -51,11 +54,7 @@ pub fn lomcds_centers_unconstrained_cached(
     let mut centers: Vec<Option<ProcId>> = vec![None; nw];
     for (w, slot) in centers.iter_mut().enumerate() {
         if !cache.range_is_empty(w, w + 1) {
-            *slot = Some(
-                cache
-                    .optimal_center_range(w, w + 1, &mut ws.axes, &mut ws.table)
-                    .0,
-            );
+            *slot = Some(cache.range_median(w, w + 1, &mut ws.axes));
         }
     }
     resolve_gaps(&mut centers);
@@ -67,11 +66,7 @@ pub fn lomcds_centers_unconstrained_cached(
 
 /// Fill `None` slots: carry the previous center forward; leading `None`s
 /// take the first known center. All-`None` stays `None` (caller defaults).
-pub(crate) fn resolve_gaps_pub(centers: &mut [Option<ProcId>]) {
-    resolve_gaps(centers)
-}
-
-fn resolve_gaps(centers: &mut [Option<ProcId>]) {
+pub(crate) fn resolve_gaps(centers: &mut [Option<ProcId>]) {
     let first_known = centers.iter().flatten().next().copied();
     let mut prev = first_known;
     for slot in centers.iter_mut() {
@@ -82,7 +77,7 @@ fn resolve_gaps(centers: &mut [Option<ProcId>]) {
     }
 }
 
-/// Compute the LOMCDS schedule under a memory capacity.
+/// LOMCDS served from a shared per-trace cost cache.
 ///
 /// Capacity conflicts are resolved per window in ascending datum order with
 /// the processor list: a referenced window falls back through ascending
@@ -90,64 +85,39 @@ fn resolve_gaps(centers: &mut [Option<ProcId>]) {
 /// distance from its anchor (previous actual center), keeping movement
 /// minimal.
 ///
-/// # Panics
-/// Panics if the array's total memory cannot hold every datum. Use the
-/// [`crate::Run`] pipeline (or [`lomcds_schedule_cached`]) for a typed
-/// [`SchedError`] instead.
-pub fn lomcds_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Schedule {
-    let cache = CostCache::build(trace);
-    let mut ws = Workspace::new();
-    lomcds_schedule_cached(trace, spec, &cache, &mut ws).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`lomcds_schedule`] served from a shared per-trace cost cache. Each
-/// window is queried once here; the cache serves the first single-window
-/// table per datum raw and builds the datum's prefix tables on the second
-/// (see `cache.rs`' repeat-customer threshold), so window sweeps over
-/// dense strings run in `O(width + height)` per window.
-///
-/// The capacity loop only ever consults the unconstrained center sequence
-/// at window 0 (later windows anchor on the *actual* previous center), and
-/// `desired[0]` is by the gap-resolution rule the first referenced
-/// window's local center — so only that first anchor is computed per
-/// datum, not the full sequence the pre-cache path derives.
-pub fn lomcds_schedule_cached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    cache: &CostCache,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    let anchors: Vec<ProcId> = (0..trace.num_data())
-        .map(|d| first_anchor(cache.datum(DataId(d as u32)), ws))
-        .collect();
-    lomcds_assign(trace.grid(), trace.num_windows(), spec, cache, ws, &anchors)
-}
-
-/// Two-phase parallel LOMCDS, bit-identical to the sequential
-/// [`lomcds_schedule_cached`]: phase 1 computes every datum's
-/// first anchor in parallel (pure); phase 2 is the unchanged
-/// window-major sequential capacity replay.
+/// Phase 1 runs over `pool`. With unbounded memory it computes every
+/// datum's gap-resolved local-center row
+/// ([`lomcds_centers_unconstrained_cached`]) and that is the schedule —
+/// the window-major loop would place every datum at exactly those
+/// centers. Under a bounded policy it computes only each datum's window-0
+/// anchor: the capacity loop consults the unconstrained sequence nowhere
+/// else (later windows anchor on the *actual* previous center). Phase 2
+/// is then the sequential window-major replay, `lomcds_assign`. Any pool
+/// width, [`Pool::serial`] included, gives the same schedule.
 pub fn lomcds_schedule_parallel(
     trace: &WindowedTrace,
     spec: MemorySpec,
     cache: &CostCache<'_>,
-    pool: pim_par::Pool,
+    pool: Pool,
     ws: &mut Workspace,
 ) -> Result<Schedule, SchedError> {
+    let grid = trace.grid();
+    let nd = trace.num_data();
+    ensure_feasible(&grid, spec, nd)?;
     let metrics = ws.metrics.clone();
-    let ids: Vec<_> = trace.iter_data().map(|(d, _)| d).collect();
+    if spec.capacity_per_proc == u32::MAX {
+        let _t = metrics.phase("LOMCDS/phase1-centers");
+        let centers = per_datum(pool, nd, |w, d| {
+            lomcds_centers_unconstrained_cached(cache.datum(d), w)
+        });
+        return Ok(Schedule::new(grid, centers));
+    }
     let anchors = {
         let _t = metrics.phase("LOMCDS/phase1-anchors");
-        pim_par::parallel_map_with_chunked(
-            pool,
-            &ids,
-            pim_par::auto_chunk(ids.len(), pool.threads()),
-            Workspace::new,
-            |w, _, &d| first_anchor(cache.datum(d), w),
-        )
+        per_datum(pool, nd, |w, d| first_anchor(cache.datum(d), w))
     };
     let _t = metrics.phase("LOMCDS/phase2-replay");
-    lomcds_assign(trace.grid(), trace.num_windows(), spec, cache, ws, &anchors)
+    lomcds_assign(grid, trace.num_windows(), spec, cache, ws, &anchors)
 }
 
 /// The anchor a datum uses at window 0: the local optimal center of its
@@ -165,9 +135,9 @@ pub(crate) fn first_anchor(cache: &DatumCostCache, ws: &mut Workspace) -> ProcId
     ProcId(0)
 }
 
-/// Window-major capacity assignment shared by the sequential, two-phase
-/// parallel, and flat-trace cached paths. Takes the grid and window count
-/// directly so any trace representation backing `cache` can drive it.
+/// Window-major capacity assignment shared by the classic and flat-trace
+/// paths. Takes the grid and window count directly so any trace
+/// representation backing `cache` can drive it.
 pub(crate) fn lomcds_assign(
     grid: Grid,
     nw: usize,
@@ -242,7 +212,7 @@ pub(crate) fn lomcds_assign_observed(
     Ok(Schedule::new(grid, centers))
 }
 
-/// Pre-cache reference implementation of [`lomcds_schedule`] — walks every
+/// Pre-cache reference implementation of [`lomcds_schedule_parallel`] — walks every
 /// window's reference list directly. Bit-identical; kept for the
 /// equivalence property tests and benches.
 pub fn lomcds_schedule_uncached(
@@ -307,10 +277,18 @@ pub(crate) fn nearest_free(grid: &Grid, anchor: ProcId, mem: &mut MemoryMap) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{MemoryPolicy, Method, Run};
     use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
         Grid::new(4, 4)
+    }
+
+    fn lomcds(trace: &WindowedTrace, policy: MemoryPolicy) -> Schedule {
+        Run::new(trace)
+            .policy(policy)
+            .run_method(Method::Lomcds)
+            .unwrap()
     }
 
     #[test]
@@ -323,7 +301,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 1)]),
             ]],
         );
-        let s = lomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = lomcds(&trace, MemoryPolicy::Unbounded);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(0, 0));
         assert_eq!(s.center(DataId(0), 1), grid.proc_xy(3, 3));
         // ref cost 0, movement 6
@@ -344,7 +322,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(3, 0), 1)]),
             ]],
         );
-        let s = lomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = lomcds(&trace, MemoryPolicy::Unbounded);
         let cs = s.centers_of(DataId(0));
         // leading empty anchors on first referenced center → no pre-move
         assert_eq!(cs[0], grid.proc_xy(2, 2));
@@ -363,7 +341,7 @@ mod tests {
             grid,
             vec![want(grid.proc_xy(2, 2)), want(grid.proc_xy(2, 2))],
         );
-        let s = lomcds_schedule(&trace, MemorySpec::uniform(1));
+        let s = lomcds(&trace, MemoryPolicy::Capacity(1));
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(2, 2));
         assert_ne!(s.center(DataId(1), 0), grid.proc_xy(2, 2));
         // spill lands at distance 1
@@ -395,7 +373,7 @@ mod tests {
         let grid = g();
         let trace =
             WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new(), WindowRefs::new()]]);
-        let s = lomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = lomcds(&trace, MemoryPolicy::Unbounded);
         assert_eq!(s.evaluate(&trace).total(), 0);
         assert!(!s.has_movement());
     }

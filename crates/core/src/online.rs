@@ -106,7 +106,6 @@ pub fn online_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gomcds::gomcds_schedule;
     use pim_array::grid::Grid;
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
@@ -130,7 +129,9 @@ mod tests {
     #[test]
     fn online_never_beats_offline_gomcds() {
         let t = drifting_trace();
-        let offline = gomcds_schedule(&t, MemorySpec::unbounded())
+        let offline = crate::Run::new(&t)
+            .run_named("GOMCDS")
+            .unwrap()
             .evaluate(&t)
             .total();
         for threshold in [0.0, 0.5, 1.0, 4.0, 100.0] {

@@ -187,12 +187,11 @@ impl<'t> Run<'t> {
         self
     }
 
-    /// Attach a worker pool for per-datum parallelism. Takes effect for
-    /// cached runs under any memory policy (see
-    /// [`SchedContext::parallel_pool`]): unconstrained runs parallelize
-    /// outright, bounded runs use the deterministic two-phase scheme.
-    /// Output is bit-identical to the sequential run either way. Uncached
-    /// runs ignore the pool (they reproduce the seed implementations).
+    /// Attach a worker pool for the per-datum phase of cached runs
+    /// (default [`Pool::serial`]), under any memory policy: the capacity
+    /// replay after it stays sequential in datum order, so the output is
+    /// bit-identical at every pool width. Uncached runs ignore the pool
+    /// (they reproduce the seed implementations).
     pub fn parallel(mut self, pool: Pool) -> Self {
         self.pool = Some(pool);
         self.ctx = None;

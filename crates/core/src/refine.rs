@@ -116,8 +116,7 @@ pub fn refine(
 mod tests {
     use super::*;
     use crate::baseline::random_schedule;
-    use crate::gomcds::gomcds_schedule;
-    use crate::scds::scds_schedule;
+    use crate::pipeline::{MemoryPolicy, Run};
     use pim_array::grid::Grid;
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
@@ -144,7 +143,7 @@ mod tests {
     fn cannot_improve_gomcds_unbounded() {
         let t = trace();
         let spec = MemorySpec::unbounded();
-        let mut s = gomcds_schedule(&t, spec);
+        let mut s = Run::new(&t).run_named("GOMCDS").unwrap();
         let before = s.evaluate(&t).total();
         let stats = refine(&t, &mut s, spec, 10);
         assert_eq!(stats.moves_applied, 0, "GOMCDS must be a local optimum");
@@ -162,7 +161,8 @@ mod tests {
         assert_eq!(before - after, stats.cost_reduction);
         assert!(after < before, "random schedule should be improvable");
         // refined result can't beat the global optimum
-        let opt = gomcds_schedule(&t, spec).evaluate(&t).total();
+        let opt = Run::new(&t).run_named("GOMCDS").unwrap();
+        let opt = opt.evaluate(&t).total();
         assert!(after >= opt);
     }
 
@@ -170,7 +170,10 @@ mod tests {
     fn respects_capacity() {
         let t = trace();
         let spec = MemorySpec::uniform(1);
-        let mut s = scds_schedule(&t, spec);
+        let mut s = Run::new(&t)
+            .policy(MemoryPolicy::Capacity(1))
+            .run_named("SCDS")
+            .unwrap();
         refine(&t, &mut s, spec, 20);
         assert!(s.max_occupancy() <= 1);
     }

@@ -36,21 +36,19 @@ use crate::error::{ensure_feasible, SchedError};
 use crate::gomcds::Solver;
 use crate::grouping::GroupMethod;
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
-use pim_array::grid::ProcId;
 use pim_array::layout::Layout;
-use pim_trace::ids::DataId;
 use pim_trace::window::WindowedTrace;
 use std::sync::OnceLock;
 
 /// A pluggable scheduling strategy.
 ///
-/// Implementations read the execution mode off the context: serve cost
-/// tables from [`SchedContext::cache_and_ws`] when a cache is present,
-/// fall back to the raw reference strings when it is not, and use
-/// [`SchedContext::parallel_pool`] for per-datum parallelism when it
-/// returns a pool. All modes must be bit-identical (property-tested for
-/// every registered strategy in `tests/cache_equivalence.rs`).
+/// Implementations read the execution mode off the context, one of two:
+/// cached over a pool — [`SchedContext::cached_parts`] hands over the cost
+/// cache, the pool ([`pim_par::Pool::serial`] unless one is attached) and
+/// the workspace — or, when it returns `None`, the uncached oracle over
+/// the raw reference strings. Both modes, at every pool width, must be
+/// bit-identical (property-tested for every registered strategy in
+/// `tests/cache_equivalence.rs`).
 pub trait Scheduler: Send + Sync {
     /// Stable registry name (also the table/display label). Lookup is
     /// case-insensitive.
@@ -81,12 +79,11 @@ pub trait Scheduler: Send + Sync {
         true
     }
 
-    /// Whether this strategy exploits [`SchedContext::parallel_pool`]:
-    /// per-datum fan-out when the policy is unbounded, the two-phase
-    /// compute-then-replay scheme when capacity is bounded. Strategies
-    /// that ignore the pool (inherently sequential streaming policies,
-    /// static baselines) say `false`; `pim-cli list-methods` reports the
-    /// flag.
+    /// Whether this strategy fans its per-datum phase out over
+    /// [`SchedContext::pool`] (the capacity replay after it stays
+    /// sequential). Strategies that ignore the pool (inherently sequential
+    /// streaming policies, static baselines) say `false`; `pim-cli
+    /// list-methods` reports the flag.
     fn parallelizable(&self) -> bool {
         true
     }
@@ -146,37 +143,11 @@ impl Scheduler for ScdsScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        ensure_feasible(&ctx.grid(), spec, trace.num_data())?;
-        if let Some(pool) = ctx.parallel_pool() {
-            if spec.capacity_per_proc == u32::MAX {
-                // Unbounded: every datum is independent — pure fan-out.
-                let cache = ctx.cache().expect("parallel_pool implies cache");
-                let nw = trace.num_windows();
-                let ids: Vec<DataId> = (0..trace.num_data() as u32).map(DataId).collect();
-                let centers = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    pim_par::auto_chunk(ids.len(), pool.threads()),
-                    Workspace::new,
-                    |ws, _, &d| {
-                        let c = cache
-                            .datum(d)
-                            .optimal_center_range(0, nw, &mut ws.axes, &mut ws.table)
-                            .0;
-                        vec![c; nw]
-                    },
-                );
-                return Ok(Schedule::new(ctx.grid(), centers));
+        match ctx.cached_parts() {
+            Some((cache, pool, ws)) => {
+                crate::scds::scds_schedule_parallel(trace, spec, cache, pool, ws)
             }
-            // Bounded: two-phase — parallel per-datum tables, sequential
-            // capacity replay in datum order.
-            let (cache, ws) = ctx.cache_and_ws();
-            let cache = cache.expect("parallel_pool implies cache");
-            return crate::scds::scds_schedule_parallel(trace, spec, cache, pool, ws);
-        }
-        match ctx.cache_and_ws() {
-            (Some(cache), ws) => crate::scds::scds_schedule_cached(trace, spec, cache, ws),
-            (None, _) => crate::scds::scds_schedule_uncached(trace, spec),
+            None => crate::scds::scds_schedule_uncached(trace, spec),
         }
     }
 }
@@ -208,29 +179,11 @@ impl Scheduler for LomcdsScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        ensure_feasible(&ctx.grid(), spec, trace.num_data())?;
-        if let Some(pool) = ctx.parallel_pool() {
-            if spec.capacity_per_proc == u32::MAX {
-                let cache = ctx.cache().expect("parallel_pool implies cache");
-                let ids: Vec<DataId> = (0..trace.num_data() as u32).map(DataId).collect();
-                let centers = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    pim_par::auto_chunk(ids.len(), pool.threads()),
-                    Workspace::new,
-                    |ws, _, &d| {
-                        crate::lomcds::lomcds_centers_unconstrained_cached(cache.datum(d), ws)
-                    },
-                );
-                return Ok(Schedule::new(ctx.grid(), centers));
+        match ctx.cached_parts() {
+            Some((cache, pool, ws)) => {
+                crate::lomcds::lomcds_schedule_parallel(trace, spec, cache, pool, ws)
             }
-            let (cache, ws) = ctx.cache_and_ws();
-            let cache = cache.expect("parallel_pool implies cache");
-            return crate::lomcds::lomcds_schedule_parallel(trace, spec, cache, pool, ws);
-        }
-        match ctx.cache_and_ws() {
-            (Some(cache), ws) => crate::lomcds::lomcds_schedule_cached(trace, spec, cache, ws),
-            (None, _) => crate::lomcds::lomcds_schedule_uncached(trace, spec),
+            None => crate::lomcds::lomcds_schedule_uncached(trace, spec),
         }
     }
 }
@@ -296,34 +249,11 @@ impl Scheduler for GomcdsScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        ensure_feasible(&ctx.grid(), spec, trace.num_data())?;
-        if let Some(pool) = ctx.parallel_pool() {
-            if spec.capacity_per_proc == u32::MAX {
-                let cache = ctx.cache().expect("parallel_pool implies cache");
-                let grid = ctx.grid();
-                let solver = self.solver;
-                let ids: Vec<DataId> = (0..trace.num_data() as u32).map(DataId).collect();
-                let centers = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    pim_par::auto_chunk(ids.len(), pool.threads()),
-                    Workspace::new,
-                    |ws, _, &d| {
-                        crate::gomcds::gomcds_path_cached(&grid, cache.datum(d), solver, ws).0
-                    },
-                );
-                return Ok(Schedule::new(grid, centers));
+        match ctx.cached_parts() {
+            Some((cache, pool, ws)) => {
+                crate::gomcds::gomcds_schedule_parallel(trace, spec, self.solver, cache, pool, ws)
             }
-            let solver = self.solver;
-            let (cache, ws) = ctx.cache_and_ws();
-            let cache = cache.expect("parallel_pool implies cache");
-            return crate::gomcds::gomcds_schedule_parallel(trace, spec, solver, cache, pool, ws);
-        }
-        match ctx.cache_and_ws() {
-            (Some(cache), ws) => {
-                crate::gomcds::gomcds_schedule_cached(trace, spec, self.solver, cache, ws)
-            }
-            (None, _) => crate::gomcds::gomcds_schedule_with_uncached(trace, spec, self.solver),
+            None => crate::gomcds::gomcds_schedule_with_uncached(trace, spec, self.solver),
         }
     }
 }
@@ -358,73 +288,14 @@ impl Scheduler for GroupedScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        ensure_feasible(&ctx.grid(), spec, trace.num_data())?;
-        if let Some(pool) = ctx.parallel_pool() {
-            if spec.capacity_per_proc == u32::MAX {
-                let cache = ctx.cache().expect("parallel_pool implies cache");
-                let grid = ctx.grid();
-                let place = self.place;
-                let ids: Vec<DataId> = (0..trace.num_data() as u32).map(DataId).collect();
-                let centers = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    pim_par::auto_chunk(ids.len(), pool.threads()),
-                    Workspace::new,
-                    |ws, _, &d| {
-                        let dc = cache.datum(d);
-                        let groups = crate::grouping::greedy_grouping_cached(
-                            &grid,
-                            dc,
-                            GroupMethod::LocalCenters,
-                            ws,
-                        );
-                        let group_centers = match place {
-                            GroupMethod::LocalCenters => {
-                                crate::grouping::local_group_centers_cached(dc, &groups, ws)
-                            }
-                            GroupMethod::GomcdsCenters => {
-                                crate::gomcds::gomcds_path_ranges(&grid, dc, &groups, ws).0
-                            }
-                        };
-                        let mut per_window = vec![ProcId(0); dc.num_windows()];
-                        for (g, &c) in groups.iter().zip(&group_centers) {
-                            for w in g.clone() {
-                                per_window[w] = c;
-                            }
-                        }
-                        per_window
-                    },
-                );
-                return Ok(Schedule::new(grid, centers));
+        let decide = GroupMethod::LocalCenters;
+        match ctx.cached_parts() {
+            Some((cache, pool, ws)) => crate::grouping::grouped_schedule_parallel(
+                trace, spec, decide, self.place, cache, pool, ws,
+            ),
+            None => {
+                crate::grouping::grouped_schedule_with_uncached(trace, spec, decide, self.place)
             }
-            let place = self.place;
-            let (cache, ws) = ctx.cache_and_ws();
-            let cache = cache.expect("parallel_pool implies cache");
-            return crate::grouping::grouped_schedule_parallel(
-                trace,
-                spec,
-                GroupMethod::LocalCenters,
-                place,
-                cache,
-                pool,
-                ws,
-            );
-        }
-        match ctx.cache_and_ws() {
-            (Some(cache), ws) => crate::grouping::grouped_schedule_with_cached(
-                trace,
-                spec,
-                GroupMethod::LocalCenters,
-                self.place,
-                cache,
-                ws,
-            ),
-            (None, _) => crate::grouping::grouped_schedule_with_uncached(
-                trace,
-                spec,
-                GroupMethod::LocalCenters,
-                self.place,
-            ),
         }
     }
 }
@@ -737,7 +608,8 @@ pub fn schedulers(names: &[&str]) -> Vec<&'static dyn Scheduler> {
 mod tests {
     use super::*;
     use crate::pipeline::{MemoryPolicy, Method};
-    use pim_array::grid::Grid;
+    use pim_array::grid::{Grid, ProcId};
+    use pim_trace::ids::DataId;
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
     #[test]

@@ -329,7 +329,9 @@ mod tests {
     #[test]
     fn replication_wins_on_twin_hotspots() {
         let trace = twin_hotspot_trace();
-        let single = crate::gomcds::gomcds_schedule(&trace, MemorySpec::unbounded())
+        let single = crate::Run::new(&trace)
+            .run_named("GOMCDS")
+            .unwrap()
             .evaluate(&trace)
             .total();
         let repl = replicated_schedule(&trace, MemorySpec::unbounded());
@@ -358,7 +360,9 @@ mod tests {
             WindowedTrace::from_parts(g, vec![vec![WindowRefs::new(), WindowRefs::new()]]),
         ];
         for trace in traces {
-            let single = crate::gomcds::gomcds_schedule(&trace, MemorySpec::unbounded())
+            let single = crate::Run::new(&trace)
+                .run_named("GOMCDS")
+                .unwrap()
                 .evaluate(&trace)
                 .total();
             let dual = replicated_schedule(&trace, MemorySpec::unbounded())

@@ -15,8 +15,8 @@
 //!   in-memory path shards the whole trace;
 //! * the sequential capacity replay runs between chunks in ascending datum
 //!   order against persistent [`pim_array::memory::MemoryMap`] state —
-//!   the same `ScdsReplay` object (private to [`crate::flat`]) the
-//!   in-memory path uses —
+//!   the same `ScdsReplay` object (private to [`crate::scds`]) the
+//!   in-memory paths use —
 //!   so bounded SCDS stays **bit-identical** to [`crate::flat::flat_scds`].
 //!
 //! Chunking is possible exactly when every scheduling decision depends
@@ -42,10 +42,13 @@
 //! [`stream_schedule`] returns.
 
 use crate::cache::DatumCostCache;
+use crate::cost::AxisScratch;
 use crate::error::{ensure_feasible, SchedError};
-use crate::flat::{span_lomcds_centers, span_merged_median, FlatScratch, ScdsReplay};
+use crate::flat::{span_full_table, span_lomcds_centers, span_merged_median};
 use crate::gomcds::{gomcds_path_cached, Solver};
+use crate::median::MedianState;
 use crate::pipeline::{MemoryPolicy, Method};
+use crate::scds::ScdsReplay;
 use crate::schedule::CostBreakdown;
 use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
@@ -386,7 +389,8 @@ pub fn stream_schedule_with(
     let spec = policy.resolve_parts(&grid, nd);
     ensure_feasible(&grid, spec, nd).map_err(StreamError::Sched)?;
 
-    let mut replay = ScdsReplay::new(&grid, spec);
+    let mut replay = ScdsReplay::new(&grid, spec, pim_metrics::Metrics::disabled());
+    let mut axes = AxisScratch::default();
     let mut cost = CostBreakdown::default();
     let mut row = vec![ProcId(0); nw];
     let mut ids: Vec<DataId> = Vec::new();
@@ -412,12 +416,12 @@ pub fn stream_schedule_with(
                     pool,
                     &ids,
                     chunk,
-                    FlatScratch::default,
-                    |s, _, &d| span_merged_median(&grid, spans.span(d), &mut s.med),
+                    MedianState::default,
+                    |med, _, &d| span_merged_median(&grid, spans.span(d), med),
                 );
                 for (&d, &c) in ids.iter().zip(&medians) {
                     let span = spans.span(d);
-                    let p = replay.place(&grid, d, span, c)?;
+                    let p = replay.place(d, c, |t| span_full_table(&grid, span, &mut axes, t))?;
                     row.fill(p);
                     accumulate_cost(&grid, span, &row, &mut cost);
                     sink(d, &row);
@@ -428,8 +432,8 @@ pub fn stream_schedule_with(
                     pool,
                     &ids,
                     chunk,
-                    FlatScratch::default,
-                    |s, _, &d| span_lomcds_centers(&grid, spans.span(d), nw, &mut s.med),
+                    MedianState::default,
+                    |med, _, &d| span_lomcds_centers(&grid, spans.span(d), nw, med),
                 );
                 for (&d, r) in ids.iter().zip(&rows) {
                     accumulate_cost(&grid, spans.span(d), r, &mut cost);

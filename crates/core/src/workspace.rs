@@ -15,6 +15,8 @@
 use crate::cost::AxisScratch;
 use pim_array::grid::ProcId;
 use pim_metrics::Metrics;
+use pim_par::Pool;
+use pim_trace::ids::DataId;
 
 /// Bundled scratch buffers for the hot scheduling path. Construct once per
 /// thread and pass to the `*_cached` scheduler entry points.
@@ -68,6 +70,26 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace::default()
     }
+}
+
+/// Phase 1 of every scheduler: `kernel(scratch, d)` for each datum
+/// `0..nd`, sharded over `pool` in contiguous chunks with one scratch `S`
+/// per participating thread. Results come back in datum order, so the
+/// output never depends on the pool width; [`Pool::serial`] runs every
+/// datum on the calling thread.
+pub(crate) fn per_datum<S: Default, U: Send>(
+    pool: Pool,
+    nd: usize,
+    kernel: impl Fn(&mut S, DataId) -> U + Sync,
+) -> Vec<U> {
+    let ids: Vec<DataId> = (0..nd as u32).map(DataId).collect();
+    pim_par::parallel_map_with_chunked(
+        pool,
+        &ids,
+        pim_par::auto_chunk(nd, pool.threads()),
+        S::default,
+        |s, _, &d| kernel(s, d),
+    )
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use std::time::Instant;
 use pim_metrics::Metrics;
 use pim_par::Pool;
 use pim_sched::{flat_total_cost, IncrementalError, IncrementalRun, MemoryPolicy, Method};
-use pim_trace::FlatTrace;
+use pim_trace::{FlatTrace, FlatView};
 
 use crate::error::ServeError;
 use crate::proto::{self, EvictScope, LoadSource, Request};
@@ -158,6 +158,9 @@ impl ServeCore {
             // and text loads of one trace dedup to one resident entry.
             LoadSource::Path(path) => pim_trace::BinTrace::open(&path)?.to_flat(),
         };
+        // Every later request sizes per-window state from the declared
+        // window count; refuse a claim the stored records cannot back.
+        flat.check_density()?;
         let grid = flat.grid();
         let (windows, data, refs) = (flat.num_windows(), flat.num_data(), flat.num_refs());
         let (key, fresh) = self.store.insert(flat)?;

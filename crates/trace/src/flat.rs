@@ -111,8 +111,9 @@ pub enum FlatTraceError {
     },
     /// The underlying reader failed.
     Io(std::io::Error),
-    /// [`FlatTrace::try_to_windowed`] refused to build a nested form far
-    /// larger than the records the trace stores.
+    /// The trace declares far more `(datum, window)` cells than the
+    /// records it stores ([`FlatView::check_density`]): refused before
+    /// anything is sized by the declared window count.
     TooSparse {
         /// Number of data the trace declares.
         data: usize,
@@ -180,6 +181,27 @@ pub trait FlatView: Sync {
     fn num_refs(&self) -> usize;
     /// Datum `d`'s whole reference run, window-major.
     fn span(&self, d: DataId) -> &[FlatRef];
+
+    /// Refuse, with [`FlatTraceError::TooSparse`], a trace that declares
+    /// more than 64 `(datum, window)` cells per stored datum or reference,
+    /// beyond a floor of 2^20 cells (24 MiB as nested windows) that every
+    /// small trace fits. The schedulers and the nested form size arrays
+    /// per window, and a few-kilobyte `.pimb` whose header claims
+    /// 2^32 - 1 windows would ask for terabytes; the paper benchmarks and
+    /// synthetic `scale` instances hold 1 to 10 cells per record. Every
+    /// trace from outside the program passes this check before it is
+    /// scheduled or expanded.
+    fn check_density(&self) -> Result<(), FlatTraceError> {
+        let records = self.num_data() + self.num_refs();
+        let budget = records.saturating_mul(64).max(1 << 20);
+        match self.num_data().checked_mul(self.num_windows()) {
+            Some(cells) if cells <= budget => Ok(()),
+            _ => Err(FlatTraceError::TooSparse {
+                data: self.num_data(),
+                windows: self.num_windows(),
+            }),
+        }
+    }
 
     /// Sum of every record's count.
     fn total_volume(&self) -> u64 {
@@ -488,23 +510,10 @@ impl FlatTrace {
         WindowedTrace::from_parts(self.grid, data)
     }
 
-    /// [`FlatTrace::to_windowed`], refused with
-    /// [`FlatTraceError::TooSparse`] when the nested form would hold more
-    /// than 64 `(datum, window)` cells per stored datum or reference,
-    /// beyond a floor of 2^20 cells (24 MiB) that every small trace fits.
-    /// The paper benchmarks and synthetic `scale` instances hold 1 to 10
-    /// cells per record; a few-kilobyte `.pimb` whose header claims
-    /// 2^32 - 1 windows would otherwise ask for terabytes.
+    /// [`FlatTrace::to_windowed`] after [`FlatView::check_density`].
     pub fn try_to_windowed(&self) -> Result<WindowedTrace, FlatTraceError> {
-        let records = self.num_data() + self.num_refs();
-        let budget = records.saturating_mul(64).max(1 << 20);
-        match self.num_data().checked_mul(self.num_windows) {
-            Some(cells) if cells <= budget => Ok(self.to_windowed()),
-            _ => Err(FlatTraceError::TooSparse {
-                data: self.num_data(),
-                windows: self.num_windows,
-            }),
-        }
+        self.check_density()?;
+        Ok(self.to_windowed())
     }
 
     /// The processor grid.

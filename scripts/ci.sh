@@ -313,7 +313,7 @@ else
 fi
 
 # Streaming smoke: pack a 16×16 × 50k synthetic instance to the binary
-# container, schedule it memory-mapped (`run --bin`) and through the
+# container, schedule it memory-mapped (`run --flat --trace`) and through the
 # out-of-core streaming pipeline (`scale --bin` — same synthetic
 # generator, same seed), and assert the two total costs agree. Then run
 # the stream report's smoke mode (which isolates each phase in a child
@@ -321,15 +321,15 @@ fi
 # the BENCH_stream.json shape. RSS ratios and load speedups are
 # reported, not gated, at smoke scale — fixed overheads dominate 50k
 # data; the committed full-scale BENCH_stream.json carries the bounds.
-echo "== streaming smoke (pack / run --bin / scale --bin, 16x16 x 50k) =="
+echo "== streaming smoke (pack / run --flat --trace / scale --bin, 16x16 x 50k) =="
 ./target/release/pim-cli pack --grid 16x16 --data 50000 \
   --out "$metrics_tmp/stream_smoke.pimb"
-./target/release/pim-cli run --bin --trace "$metrics_tmp/stream_smoke.pimb" \
+./target/release/pim-cli run --flat --trace "$metrics_tmp/stream_smoke.pimb" \
   --method scds > "$metrics_tmp/stream_mmap.txt"
 ./target/release/pim-cli scale --grid 16x16 --data 50000 --method scds --bin \
   > "$metrics_tmp/stream_stream.txt"
 grep -q "memory-mapped" "$metrics_tmp/stream_mmap.txt" \
-  || { echo "run --bin did not memory-map the container"; exit 1; }
+  || { echo "run --flat --trace did not memory-map the container"; exit 1; }
 mmap_cost="$(sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' \
   "$metrics_tmp/stream_mmap.txt" | head -n 1)"
 stream_cost="$(sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' \

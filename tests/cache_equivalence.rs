@@ -47,14 +47,31 @@ fn arb_refs(grid: Grid) -> impl Strategy<Value = WindowRefs> {
     })
 }
 
-/// Random windowed trace: up to 4 data × up to 6 windows.
+/// Random windowed trace: up to 4 data × up to 6 windows. One arm in two
+/// is a hot spot instead: every reference of every datum on one
+/// processor, so under the tight policy every median collides and every
+/// capacity replay takes its fallback.
 fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
-    arb_grid().prop_flat_map(|grid| {
+    let random = arb_grid().prop_flat_map(|grid| {
         (1usize..=4, 1usize..=6).prop_flat_map(move |(nd, nw)| {
             proptest::collection::vec(proptest::collection::vec(arb_refs(grid), nw..=nw), nd..=nd)
                 .prop_map(move |per_data| WindowedTrace::from_parts(grid, per_data))
         })
-    })
+    });
+    let hot_spot = arb_grid().prop_flat_map(|grid| {
+        (0..grid.num_procs() as u32, 1usize..=4, 1usize..=6).prop_flat_map(move |(hot, nd, nw)| {
+            proptest::collection::vec(proptest::collection::vec(1u32..6, nw..=nw), nd..=nd)
+                .prop_map(move |counts| {
+                    let at_hot = |n| WindowRefs::from_pairs([(ProcId(hot), n)]);
+                    let per_data = counts
+                        .into_iter()
+                        .map(|row| row.into_iter().map(at_hot).collect())
+                        .collect();
+                    WindowedTrace::from_parts(grid, per_data)
+                })
+        })
+    });
+    prop_oneof![random, hot_spot]
 }
 
 /// Memory policies to cross with every method: unconstrained, the paper's

@@ -57,8 +57,12 @@ enum RawOp {
     },
 }
 
+/// Random base instance; one arm in two is a hot spot instead: every
+/// reference of every datum on one processor, so under the tight policy
+/// every median collides and every capacity replay takes its fallback.
 fn arb_instance() -> impl Strategy<Value = Instance> {
-    ((2u32..=4, 2u32..=4), 1usize..=4, 1usize..=5).prop_flat_map(|((w, h), nw, nd)| {
+    let shape = || (2u32..=4, 2u32..=4, 1usize..=4, 1usize..=5);
+    let random = shape().prop_flat_map(|(w, h, nw, nd)| {
         let m = w * h;
         proptest::collection::vec(
             (0..nd as u32, 0..nw as u32, 0..m, 1u32..5),
@@ -70,7 +74,22 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
             num_data: nd,
             records,
         })
-    })
+    });
+    let hot_spot = shape().prop_flat_map(|(w, h, nw, nd)| {
+        (
+            0..w * h,
+            proptest::collection::vec(1u32..5, nd * nw..=nd * nw),
+        )
+            .prop_map(move |(hot, counts)| Instance {
+                grid: Grid::new(w, h),
+                num_windows: nw,
+                num_data: nd,
+                records: (0..nd * nw)
+                    .map(|i| ((i / nw) as u32, (i % nw) as u32, hot, counts[i]))
+                    .collect(),
+            })
+    });
+    prop_oneof![random, hot_spot]
 }
 
 /// Edit sequence: 1–4 deltas of 1–3 ops each. `SetRun` refs may be empty

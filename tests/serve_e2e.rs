@@ -205,6 +205,12 @@ fn malformed_lines_get_typed_errors_and_the_daemon_survives() {
         (r#"{"op":"teleport"}"#, "unknown_method"),
         (r#"{"op":"load"}"#, "bad_request"),
         (r#"{"op":"load","text":"flat v2 1 1 1 1"}"#, "trace_error"),
+        // 2^32 - 1 claimed windows over 3 data: any per-window array sized
+        // from the claim would abort the daemon.
+        (
+            r#"{"op":"load","text":"flat v1 4 4 4294967295 3\n0 0 1 3\n"}"#,
+            "trace_error",
+        ),
         (
             r#"{"op":"schedule","trace":"zzzz","method":"scds"}"#,
             "bad_request",
